@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Wall-time scaling of the row-sum score computation with graph size.
+"""Wall-time scaling of graph generation and row-sum scoring with graph size.
 
-Generates sparse ER graphs at increasing node counts, times the Krylov
-row-sum scoring (best of a few repetitions), and fits a log-log power law.
+At each node count, times the generation of one background per model at the
+given mean degree (ER avg_degree, BA m = avg/2, SW k = avg rounded to even),
+then times the Krylov row-sum scoring of the ER graph (best of a few
+repetitions) and fits a log-log power law to the scoring times.
 
 Usage:
     python scripts/benchmark_scaling.py [--sizes 1000,10000,100000] [--repeats 3]
@@ -29,17 +31,25 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
+    m = max(1, round(args.avg_degree / 2))
+    k = max(2, 2 * round(args.avg_degree / 2))
+    repeats = max(1, args.repeats)
     seconds = []
-    print(f"{'n':>8} {'edges':>9} {'gen secs':>9} {'score secs':>11}")
+    print(f"{'n':>8} {'edges':>9} {'er gen':>9} {'ba gen':>9} {'sw gen':>9} {'score secs':>11}")
     for n in sizes:
-        t0 = time.perf_counter()
-        g = generate(GraphGenSpec(model="er", n=n, avg_degree=args.avg_degree, seed=args.seed))
-        gen_secs = time.perf_counter() - t0
-        best = min(
-            _timed(total_communicability, g) for _ in range(max(1, args.repeats))
-        )
+        specs = {
+            "er": GraphGenSpec(model="er", n=n, avg_degree=args.avg_degree, seed=args.seed),
+            "ba": GraphGenSpec(model="ba", n=n, m=m, seed=args.seed),
+            "sw": GraphGenSpec(model="sw", n=n, k=k, seed=args.seed),
+        }
+        gen_secs = {name: min(_timed(generate, spec) for _ in range(repeats)) for name, spec in specs.items()}
+        g = generate(specs["er"])
+        best = min(_timed(total_communicability, g) for _ in range(repeats))
         seconds.append(best)
-        print(f"{n:>8} {g.edge_count:>9} {gen_secs:>9.4f} {best:>11.4f}")
+        print(
+            f"{n:>8} {g.edge_count:>9} {gen_secs['er']:>9.4f} {gen_secs['ba']:>9.4f} "
+            f"{gen_secs['sw']:>9.4f} {best:>11.4f}"
+        )
 
     if len(sizes) >= 2:
         exponent = float(np.polyfit(np.log(sizes), np.log(seconds), 1)[0])

@@ -12,6 +12,7 @@ from .communicability import (
     ScoreVector,
     accumulate,
     subgraph_centrality,
+    summed_total_communicability,
     total_communicability,
     write_scores_csv,
 )
@@ -30,6 +31,7 @@ from .graphs import (
     canonical_sparse_target,
     clique,
     density,
+    disjoint_union,
     gen_barabasi_albert,
     gen_erdos_renyi,
     gen_watts_strogatz,
@@ -95,6 +97,7 @@ __all__ = [
     "clique",
     "density",
     "derive_seed",
+    "disjoint_union",
     "draw_embedding",
     "eigen_l1_scores",
     "embed",
@@ -113,6 +116,7 @@ __all__ = [
     "run_pipeline",
     "run_pipeline_with_timings",
     "subgraph_centrality",
+    "summed_total_communicability",
     "summarize_rates",
     "temporal_filter",
     "top_k",

@@ -48,6 +48,7 @@ from .identify import (
     summarize_rates,
 )
 from .modularity import FilterCoeffs, run_baseline_with_timings
+from .rng import GENERATOR
 
 __all__ = ["main", "entry_point", "ConfigError", "parse_flat_config", "build_experiment_config"]
 
@@ -218,6 +219,7 @@ def _report_dict(
     summary = summarize_rates(results)
     return {
         "method": method,
+        "rng": GENERATOR,
         "config": {str(k): values[k] for k in sorted(values)},
         "mean_rate": summary.mean,
         "std_rate": summary.std,

@@ -8,9 +8,10 @@ gives deterministic iteration order everywhere downstream.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence, TextIO
+from typing import Iterable, Iterator, Literal, Sequence, TextIO
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "canonical_sparse_target",
     "clique",
     "density",
+    "disjoint_union",
     "is_connected",
     "read_edge_list",
     "write_edge_list",
@@ -87,21 +89,49 @@ class Graph:
 
     @staticmethod
     def _from_codes(n: int, codes: np.ndarray) -> "Graph":
-        """Build from sorted, unique canonical edge codes ``u * n + v`` (u < v)."""
+        """Build from sorted, unique canonical edge codes ``u * n + v`` (u < v).
+
+        Every edge enters twice, first as (row v, col u) and then as
+        (row u, col v).  Codes ascend, so within one row the first half
+        lists the smaller neighbors ascending and the second half the larger
+        ones; a stable sort by row alone therefore yields sorted rows.
+        """
         if n < 0:
             raise ValueError("node count must be nonnegative")
-        us = codes // n
-        vs = codes % n
-        rows = np.concatenate([us, vs])
-        cols = np.concatenate([vs, us])
-        order = np.lexsort((cols, rows))
-        indices = np.ascontiguousarray(cols[order])
-        degrees = np.bincount(rows, minlength=n)
+        us, vs = np.divmod(codes, n)
+        rows = np.concatenate([vs, us])
+        cols = np.concatenate([us, vs])
+        indices = cols[_stable_order(rows, n)]
+        return Graph._frozen(n, int(codes.size), np.bincount(rows, minlength=n), indices)
+
+    @staticmethod
+    def _frozen(n: int, edge_count: int, degrees: np.ndarray, indices: np.ndarray) -> "Graph":
+        """Wrap per-node degrees and row-sorted neighbor ids as a read-only graph."""
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
+        indices = np.ascontiguousarray(indices)
         indices.flags.writeable = False
         indptr.flags.writeable = False
-        return Graph(n=n, edge_count=int(codes.size), indptr=indptr, indices=indices)
+        return Graph(n=n, edge_count=edge_count, indptr=indptr, indices=indices)
+
+    def _insert_codes(self, codes: np.ndarray) -> "Graph":
+        """This graph plus the edges ``u * n + v`` (u != v) in ``codes``; present edges merge.
+
+        The row-major keys ``row * n + col`` of the CSR entries ascend, so both
+        directions of each new edge are spliced into ``indices`` at
+        binary-searched positions: O(E) copying and no sort.
+        """
+        n = self.n
+        us, vs = np.divmod(np.asarray(codes, dtype=np.int64), n)
+        new = np.unique(np.concatenate([us * n + vs, vs * n + us]))
+        degrees = self.degrees
+        keys = np.repeat(np.arange(n, dtype=np.int64), degrees) * n + self.indices
+        at = np.searchsorted(keys, new)
+        fresh = keys[np.minimum(at, keys.size - 1)] != new if keys.size else np.ones(new.size, bool)
+        new_rows, new_cols = np.divmod(new[fresh], n)
+        indices = np.insert(self.indices, at[fresh], new_cols)
+        degrees = degrees + np.bincount(new_rows, minlength=n)
+        return Graph._frozen(n, self.edge_count + new_rows.size // 2, degrees, indices)
 
     # -------------------------------------------------------------- views
 
@@ -159,6 +189,32 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
+
+
+def _stable_order(keys: np.ndarray, n: int) -> np.ndarray:
+    """Stable argsort of integer keys in [0, n): LSD radix passes over 16-bit digits.
+
+    numpy's stable sort of 16-bit keys is a radix sort, so each pass is O(len).
+    """
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    shift = 16
+    while (n - 1) >> shift > 0:
+        digit = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
+def disjoint_union(graphs: Sequence[Graph]) -> Graph:
+    """Block-diagonal union: the nodes of ``graphs[i]`` follow those of the graphs before it."""
+    if not graphs:
+        raise ValueError("disjoint_union needs at least one graph")
+    node_offsets = np.cumsum([0] + [g.n for g in graphs])
+    entry_offsets = np.cumsum([0] + [g.indices.size for g in graphs])
+    indices = np.concatenate([g.indices + off for g, off in zip(graphs, node_offsets)])
+    degrees = np.concatenate([g.degrees for g in graphs])
+    edge_count = sum(g.edge_count for g in graphs)
+    return Graph._frozen(int(node_offsets[-1]), edge_count, degrees, indices)
 
 
 def density(g: Graph) -> float:
@@ -254,7 +310,11 @@ def gen_erdos_renyi(spec: GraphGenSpec) -> Graph:
     """G(n, p) with p = avg_degree / (n - 1).
 
     Pairs are enumerated in lexicographic order and successes located by
-    geometric gap-skipping, so the cost is O(n + E) rather than O(n^2).
+    geometric gap-skipping (Batagelj & Brandes 2005): a block of gaps, a
+    cumulative sum of pair positions, and a search over row starts, so the
+    cost is O(n + E) rather than O(n^2).  A block holds about as many gaps as
+    successes are expected in the pairs left; when it ends short of the last
+    pair, the next block continues the same stream.
     """
     if spec.model != "er":
         raise ValueError("gen_erdos_renyi requires an 'er' spec")
@@ -267,23 +327,31 @@ def gen_erdos_renyi(spec: GraphGenSpec) -> Graph:
     if p <= 0.0:
         return Graph._from_codes(n, np.empty(0, dtype=np.int64))
     rng = SeededRng(spec.seed)
-    us: list[int] = []
-    vs: list[int] = []
     total = n * (n - 1) // 2
-    pos = -1  # linear index into the lexicographic pair enumeration
-    i = 0
-    row_start = 0  # linear index of pair (i, i + 1)
+    chunks = []
+    last = -1  # linear index into the lexicographic pair enumeration
+    while last < total:
+        block = math.ceil((total - 1 - last) * p) + 1
+        gaps = np.minimum(rng.geometric_skips(p, block), total)
+        positions = last + np.cumsum(gaps + 1)
+        chunks.append(positions)
+        last = int(positions[-1])
+    positions = np.concatenate(chunks)
+    positions = positions[: np.searchsorted(positions, total)]
+    i = np.arange(n, dtype=np.int64)
+    row_start = i * (n - 1) - i * (i - 1) // 2  # linear index of pair (i, i + 1)
+    us = np.searchsorted(row_start, positions, side="right") - 1
+    vs = positions - row_start[us] + us + 1
+    return Graph._from_codes(n, us * n + vs)  # lexicographic enumeration => already sorted
+
+
+_FEED_BLOCK = 4096  # uniforms per refill of a sequential draw loop
+
+
+def _uniform_feed(rng: SeededRng) -> Iterator[float]:
+    """Endless uniforms of ``rng`` in stream order, drawn a block at a time."""
     while True:
-        pos += 1 + rng.geometric_skip(p)
-        if pos >= total:
-            break
-        while pos - row_start >= n - 1 - i:
-            row_start += n - 1 - i
-            i += 1
-        us.append(i)
-        vs.append(i + 1 + (pos - row_start))
-    codes = np.asarray(us, dtype=np.int64) * n + np.asarray(vs, dtype=np.int64)
-    return Graph._from_codes(n, codes)  # lexicographic enumeration => already sorted
+        yield from rng.uniforms(_FEED_BLOCK).tolist()
 
 
 def gen_barabasi_albert(spec: GraphGenSpec) -> Graph:
@@ -291,28 +359,31 @@ def gen_barabasi_albert(spec: GraphGenSpec) -> Graph:
 
     Each arriving node picks m distinct targets with probability proportional
     to current degree (repeated-node list sampling with rejection of
-    duplicates).  The result is connected with exactly
-    C(m+1, 2) + m (n - m - 1) edges.
+    duplicates, from uniforms drawn a block at a time).  The result is
+    connected with exactly C(m+1, 2) + m (n - m - 1) edges.
     """
     if spec.model != "ba":
         raise ValueError("gen_barabasi_albert requires a 'ba' spec")
     n, m = spec.n, spec.m
-    rng = SeededRng(spec.seed)
-    pairs: list[tuple[int, int]] = [(a, b) for a in range(m + 1) for b in range(a + 1, m + 1)]
+    feed = _uniform_feed(SeededRng(spec.seed))
     # one entry per unit of degree; sampling an index uniformly is
     # degree-proportional sampling of the node stored there
     repeated: list[int] = [v for v in range(m + 1) for _ in range(m)]
+    targets: list[int] = []
     for u in range(m + 1, n):
+        size = len(repeated)
         chosen: list[int] = []
         while len(chosen) < m:
-            pick = repeated[rng.randrange(len(repeated))]
+            pick = repeated[int(next(feed) * size)]
             if pick not in chosen:
                 chosen.append(pick)
-        for v in chosen:
-            pairs.append((v, u))
-            repeated.append(v)
+        targets.extend(chosen)
+        repeated.extend(chosen)
         repeated.extend([u] * m)
-    return Graph.from_pairs(n, pairs)
+    seed_u, seed_v = np.triu_indices(m + 1, k=1)
+    arrivals = np.repeat(np.arange(m + 1, n, dtype=np.int64), m)
+    codes = np.concatenate([seed_u * n + seed_v, np.asarray(targets, dtype=np.int64) * n + arrivals])
+    return Graph._from_codes(n, np.sort(codes))
 
 
 def gen_watts_strogatz(spec: GraphGenSpec) -> Graph:
@@ -321,37 +392,53 @@ def gen_watts_strogatz(spec: GraphGenSpec) -> Graph:
     Rewiring keeps the near endpoint and redraws the far one uniformly until
     it is neither the node itself nor an existing neighbor; a node already
     adjacent to everyone keeps its edge.  The edge count stays exactly n k / 2.
+
+    Lattice edge ``j`` joins ``u = j % n`` to ``u + j // n + 1`` (mod n); the
+    decisions for all of them come from one block of uniforms, and only the
+    chosen edges are rewired in a loop.  A pair is adjacent when it is a
+    lattice pair not yet removed, or a pair added by rewiring, so no
+    adjacency sets are kept.
     """
     if spec.model != "sw":
         raise ValueError("gen_watts_strogatz requires an 'sw' spec")
     n, k, beta = spec.n, spec.k, spec.beta
-    rng = SeededRng(spec.seed)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u in range(n):
-        for off in range(1, k // 2 + 1):
-            v = (u + off) % n
-            adj[u].add(v)
-            adj[v].add(u)
+    half = k // 2
+    near = np.tile(np.arange(n, dtype=np.int64), half)
+    far = (near + np.repeat(np.arange(1, half + 1, dtype=np.int64), n)) % n
+    keep = np.ones(n * half, dtype=bool)
+    added: list[int] = []
     if beta > 0.0:
-        for off in range(1, k // 2 + 1):
-            for u in range(n):
-                if rng.random() >= beta:
+        rng = SeededRng(spec.seed)
+        chosen = np.flatnonzero(rng.uniforms(n * half) < beta)
+        feed = _uniform_feed(rng)
+        rewired: list[int] = []
+        removed: set[int] = set()
+        added_set: set[int] = set()
+        degree = [k] * n
+        for j, u, old in zip(chosen.tolist(), near[chosen].tolist(), far[chosen].tolist()):
+            if degree[u] >= n - 1:
+                continue  # no valid endpoint to rewire to
+            while True:
+                w = int(next(feed) * n)
+                if w == u:
                     continue
-                if len(adj[u]) >= n - 1:
-                    continue  # no valid endpoint to rewire to
-                old = (u + off) % n
-                if old not in adj[u]:
-                    continue  # this lattice edge was already rewired away
-                while True:
-                    w = rng.randrange(n)
-                    if w != u and w not in adj[u]:
-                        break
-                adj[u].discard(old)
-                adj[old].discard(u)
-                adj[u].add(w)
-                adj[w].add(u)
-    pairs = [(u, v) for u in range(n) for v in sorted(adj[u]) if u < v]
-    return Graph.from_pairs(n, pairs)
+                code = u * n + w if u < w else w * n + u
+                if code in added_set:
+                    continue
+                dist = abs(u - w)
+                if min(dist, n - dist) > half or code in removed:
+                    break
+            removed.add(u * n + old if u < old else old * n + u)
+            rewired.append(j)
+            degree[old] -= 1
+            degree[w] += 1
+            added_set.add(code)
+            added.append(code)
+        keep[rewired] = False
+    lo = np.minimum(near[keep], far[keep])
+    hi = np.maximum(near[keep], far[keep])
+    codes = np.concatenate([lo * n + hi, np.asarray(added, dtype=np.int64)])
+    return Graph._from_codes(n, np.sort(codes))
 
 
 # =====================================================================

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .communicability import ScoreVector, accumulate, total_communicability
+from .communicability import ScoreVector, summed_total_communicability
 from .expm import KrylovParams
 from .graphs import Graph, GraphGenSpec, TargetSpec, generate
 from .rng import SeededRng, derive_seed
@@ -46,6 +46,12 @@ __all__ = [
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _EMBED_STREAM = 0
 _BACKGROUND_STREAM = 1
+# A run scores its backgrounds in stacks of up to this many nodes, one Krylov
+# solve per stack.  On small graphs a solve's time goes to per-step overhead
+# and, under threads, to hand-offs of the interpreter lock around its many
+# small array operations; stacking shares both across the stack, and the cap
+# bounds the memory of a solve.  Larger graphs are scored one at a time.
+_STACK_NODES = 4096
 
 
 # =====================================================================
@@ -87,18 +93,18 @@ def apply_embedding(background: Graph, target: TargetSpec, embedding: Embedding)
 
     Mapped target edges that already exist in the background merge silently
     (the union is still a simple graph); mapped node degrees rise accordingly.
+    The at most t(t-1)/2 mapped edges are spliced into the background's CSR
+    arrays at binary-searched positions, so assembly is O(E) with no sort.
     """
     if embedding.t != target.t:
         raise ValueError("embedding size does not match target size")
     if embedding.map.size and int(embedding.map.max()) >= background.n:
         raise ValueError("embedding maps outside the background graph")
-    n = background.n
     tedges = np.asarray(target.edges, dtype=np.int64)
     mapped_u = embedding.map[tedges[:, 0]]
     mapped_v = embedding.map[tedges[:, 1]]
-    codes = np.minimum(mapped_u, mapped_v) * np.int64(n) + np.maximum(mapped_u, mapped_v)
-    all_codes = np.union1d(background.edge_codes(), codes)
-    return Graph._from_codes(n, all_codes)
+    codes = np.minimum(mapped_u, mapped_v) * np.int64(background.n) + np.maximum(mapped_u, mapped_v)
+    return background._insert_codes(codes)
 
 
 def embed(background: Graph, target: TargetSpec, seed: int) -> tuple[Graph, Embedding]:
@@ -220,25 +226,33 @@ def _single_run(cfg: ExperimentConfig, run_index: int) -> tuple[RunResult, Phase
     embedding = draw_embedding(
         cfg.background.n, cfg.target.t, embedding_seed(cfg.base_seed, run_index)
     )
-    per_background: list[ScoreVector] = []
-    for b in range(cfg.num_backgrounds):
-        spec = dataclasses.replace(
-            cfg.background, seed=background_seed(cfg.base_seed, run_index, b)
-        )
+    n = cfg.background.n
+    stack = max(1, _STACK_NODES // n)
+    scores = np.zeros(n)
+    for start in range(0, cfg.num_backgrounds, stack):
         t0 = time.perf_counter()
-        host = apply_embedding(generate(spec), cfg.target, embedding)
+        hosts = [
+            apply_embedding(generate(_background_spec(cfg, run_index, b)), cfg.target, embedding)
+            for b in range(start, min(start + stack, cfg.num_backgrounds))
+        ]
         t1 = time.perf_counter()
-        per_background.append(total_communicability(host, cfg.krylov))
+        scores += summed_total_communicability(hosts, cfg.krylov).scores
         t2 = time.perf_counter()
         times.generation += t1 - t0
         times.scoring += t2 - t1
     t3 = time.perf_counter()
-    combined = accumulate(per_background)
+    combined = ScoreVector(scores=scores, kind="tc_sum", num_backgrounds=cfg.num_backgrounds)
     candidates = top_k(combined, cfg.effective_k)
     hits = int(np.isin(embedding.map, candidates).sum())
     times.selection += time.perf_counter() - t3
     rate = hits / cfg.target.t
     return RunResult(embedding=embedding, candidates=candidates, hits=hits, rate=rate), times
+
+
+def _background_spec(cfg: ExperimentConfig, run_index: int, background_index: int) -> GraphGenSpec:
+    return dataclasses.replace(
+        cfg.background, seed=background_seed(cfg.base_seed, run_index, background_index)
+    )
 
 
 def run_pipeline_with_timings(

@@ -101,7 +101,11 @@ def modularity_matrix(g: Graph) -> ModularityMatrix:
             f"dense modularity path is limited to n <= {_MODULARITY_MAX_NODES}, got n={g.n}"
         )
     d = g.degrees.astype(np.float64)
-    b = g.to_dense() - np.outer(d, d) / (2.0 * g.edge_count)
+    # built in place, so at most two n x n arrays are alive at once
+    b = g.to_dense()
+    expected = np.outer(d, d)
+    expected /= 2.0 * g.edge_count
+    b -= expected
     return ModularityMatrix(n=g.n, matrix=b, degrees=d)
 
 

@@ -1,27 +1,39 @@
-"""Pinned, portable pseudo-random number generation.
+"""Pinned, portable, counter-based pseudo-random number generation.
 
-Every stochastic routine in this package draws from the xoshiro256**
-generator seeded through the splitmix64 mixer, both implemented here with
-their published reference constants.  Pinning the algorithm (rather than
-delegating to a library generator whose stream may change between releases)
-makes every seed reproduce bit-identically across platforms and versions.
+Every stochastic routine in this package draws from one generator:
+splitmix64 evaluated at counters.  Draw ``i`` (1-based) of seed ``s`` is
+``mix64(s + i * 0x9E3779B97F4A7C15)`` with the published splitmix64 mixer
+constants, so the scalar stream is exactly the reference splitmix64 stream
+of that seed.  Because a draw depends only on its counter, a block of draws
+is one numpy expression and yields the same values as the same number of
+scalar draws.  Pinning the algorithm (rather than delegating to a library
+generator whose stream may change between releases) makes every seed
+reproduce bit-identically across reruns, worker counts, versions and
+platforms; only :meth:`SeededRng.geometric_skips` goes through the
+platform's ``log``, whose last ulp may differ between math libraries.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["SeededRng", "derive_seed"]
+import numpy as np
+
+__all__ = ["SeededRng", "derive_seed", "GENERATOR"]
+
+GENERATOR = "splitmix64-counter"  # named in reports, so streams can be told apart
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64 increment
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
 
 
 def _mix64(z: int) -> int:
     """splitmix64 output mixer (Steele, Lea & Flood reference constants)."""
     z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
     return z ^ (z >> 31)
 
 
@@ -39,43 +51,62 @@ def derive_seed(seed: int, *salts: int) -> int:
 
 
 class SeededRng:
-    """xoshiro256** stream with helpers for the draws used in this package.
+    """Counter-based splitmix64 stream with the draws used in this package.
 
-    The four 64-bit state words are filled from the seed by splitmix64, as
-    recommended by the xoshiro authors, so any 64-bit integer is a valid
-    seed (including 0).
+    The state is the seed and the number of draws taken so far.  Scalar
+    draws (:meth:`next_u64` and the helpers built on it) and block draws
+    (:meth:`u64s`, :meth:`uniforms`) advance the same counter, so any mix of
+    the two reads one stream.  Any 64-bit integer is a valid seed.
     """
 
-    __slots__ = ("_s0", "_s1", "_s2", "_s3")
+    __slots__ = ("_seed", "_count")
 
     def __init__(self, seed: int) -> None:
-        state = seed & _MASK64
-        words = []
-        for _ in range(4):
-            state = (state + _GOLDEN) & _MASK64
-            words.append(_mix64(state))
-        if not any(words):  # all-zero state is the one forbidden xoshiro state
-            words[0] = 1
-        self._s0, self._s1, self._s2, self._s3 = words
+        self._seed = seed & _MASK64
+        self._count = 0
 
     def next_u64(self) -> int:
-        """Next raw 64-bit output of xoshiro256**."""
-        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        r = (s1 * 5) & _MASK64
-        r = (((r << 7) | (r >> 57)) & _MASK64) * 9 & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
-        return r
+        """Next raw 64-bit output: the mixer applied to the next counter."""
+        self._count += 1
+        return _mix64(self._seed + self._count * _GOLDEN)
+
+    def u64s(self, count: int) -> np.ndarray:
+        """The next ``count`` raw outputs as a uint64 array, equal to that many scalar draws."""
+        if count < 0:
+            raise ValueError(f"draw count must be nonnegative, got {count}")
+        # counters wrap modulo 2**64 exactly as the scalar path masks them
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z += np.uint64(self._count & _MASK64)
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(self._seed)
+        self._count += count
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MUL1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MUL2)
+        z ^= z >> np.uint64(31)
+        return z
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 random mantissa bits."""
         return (self.next_u64() >> 11) * 2.0**-53
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """The next ``count`` uniforms in [0, 1), equal to that many :meth:`random` calls."""
+        return (self.u64s(count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+    def geometric_skips(self, p: float, count: int) -> np.ndarray:
+        """Failures before the first success of ``count`` Bernoulli(p) processes.
+
+        Inverse-CDF draws ``int(log(u) / log(1 - p))`` from one block of
+        uniforms ``u`` in (0, 1], used for gap-skipping enumeration of sparse
+        Bernoulli processes.  Requires 0 < p < 1.  Counts are capped at 2**62
+        so that a tiny ``p`` cannot overflow int64.
+        """
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"geometric skips need 0 < p < 1, got {p}")
+        skips = np.log(1.0 - self.uniforms(count)) / math.log1p(-p)
+        return np.minimum(skips, 2.0**62).astype(np.int64)
 
     def randrange(self, bound: int) -> int:
         """Uniform integer in [0, bound) via unbiased bitmask rejection."""
@@ -104,12 +135,3 @@ class SeededRng:
             out.append(swaps.get(j, j))
             swaps[j] = swaps.get(i, i)
         return out
-
-    def geometric_skip(self, p: float) -> int:
-        """Number of failures before the first success of a Bernoulli(p) trial.
-
-        Used for gap-skipping enumeration of sparse Bernoulli processes.
-        Requires 0 < p < 1.
-        """
-        u = 1.0 - self.random()  # u in (0, 1]
-        return int(math.log(u) / math.log1p(-p))

@@ -217,6 +217,7 @@ def test_experiment_end_to_end(tmp_path, capsys):
 
     report = json.loads((out_dir / "exp.communicability.json").read_text())
     assert report["method"] == "communicability"
+    assert report["rng"] == "splitmix64-counter"
     assert report["config"]["nodes"] == 256
     assert 0.0 <= report["mean_rate"] <= 1.0
     assert len(report["runs"]) == 3
@@ -293,6 +294,7 @@ def test_baseline_end_to_end(tmp_path, capsys):
     assert "method=modularity" in capsys.readouterr().out
     report = json.loads((out_dir / "base.modularity.json").read_text())
     assert report["method"] == "modularity"
+    assert report["rng"] == "splitmix64-counter"
     with (out_dir / "summary.csv").open() as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["method"] == "modularity"

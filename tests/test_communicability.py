@@ -10,14 +10,17 @@ import pytest
 
 from communifind import (
     Graph,
+    GraphGenSpec,
     KrylovParams,
     ScoreVector,
     accumulate,
     clique,
+    disjoint_union,
     expm_action,
     expm_dense_oracle,
     generate,
     subgraph_centrality,
+    summed_total_communicability,
     total_communicability,
     write_scores_csv,
 )
@@ -129,6 +132,33 @@ def test_score_vector_is_frozen_and_detached():
 # =====================================================================
 # Aggregation over backgrounds
 # =====================================================================
+
+
+@pytest.mark.parametrize("model", ["er", "ba", "sw"])
+def test_summed_scores_match_per_graph_solves(model):
+    # one solve on the stacked realizations equals the sum of separate solves
+    specs = {
+        "er": dict(avg_degree=3.0),
+        "ba": dict(m=3),
+        "sw": dict(k=6, beta=0.2),
+    }[model]
+    graphs = [generate(GraphGenSpec(model=model, n=150, seed=s, **specs)) for s in range(5)]
+    params = KrylovParams(tol=1e-10)
+    stacked = summed_total_communicability(graphs, params)
+    separate = accumulate([total_communicability(g, params) for g in graphs])
+    assert stacked.kind == "tc_sum" and stacked.num_backgrounds == 5
+    assert np.abs(stacked.scores / separate.scores - 1.0).max() <= 1e-8
+    oracle = sum(expm_dense_oracle(g).sum(axis=1) for g in graphs)
+    assert np.abs(stacked.scores / oracle - 1.0).max() <= 1e-8
+
+
+def test_summed_scores_single_graph_and_rejections():
+    g = clique(4).to_graph()
+    assert summed_total_communicability([g]).scores == pytest.approx(np.full(4, math.exp(3.0)), rel=1e-12)
+    with pytest.raises(ValueError):
+        summed_total_communicability([])
+    with pytest.raises(ValueError):
+        summed_total_communicability([g, clique(5).to_graph()])
 
 
 def test_accumulate_sums_entrywise():

@@ -12,6 +12,7 @@ from communifind import (
     GraphGenSpec,
     KrylovParams,
     clique,
+    disjoint_union,
     expm_action,
     expm_dense_oracle,
     generate,
@@ -176,3 +177,29 @@ def test_params_validation():
         KrylovParams(tol=0.0)
     with pytest.raises(ValueError):
         KrylovParams(max_restarts=-1)
+
+
+# =====================================================================
+# Stacked graphs: every block must meet tol
+# =====================================================================
+
+
+def test_blocks_each_meet_tol():
+    # the clique block dominates the norm of the stacked iterate: judged as
+    # one vector the solve stops while the path block is still off by ~1e-6
+    path = Graph.from_pairs(40, [(i, i + 1) for i in range(39)])
+    g = disjoint_union([clique(12).to_graph(), path])
+    want = expm_dense_oracle(path).sum(axis=1)
+    params = KrylovParams(tol=1e-8)
+    joint = expm_action(g, np.ones(52), params).value[12:]
+    per_block = expm_action(g, np.ones(52), params, blocks=2)
+    assert np.abs(joint / want - 1.0).max() > 1e-7
+    assert np.abs(per_block.value[12:] / want - 1.0).max() <= 1e-8
+    assert per_block.est_error <= params.tol
+
+
+def test_blocks_must_divide_node_count():
+    g = clique(6).to_graph()
+    for blocks in (0, 4, 7):
+        with pytest.raises(ValueError):
+            expm_action(g, np.ones(6), blocks=blocks)

@@ -17,6 +17,7 @@ from communifind import (
     canonical_sparse_target,
     clique,
     density,
+    disjoint_union,
     gen_barabasi_albert,
     gen_erdos_renyi,
     gen_watts_strogatz,
@@ -25,6 +26,7 @@ from communifind import (
     read_edge_list,
     write_edge_list,
 )
+from communifind.rng import SeededRng
 from conftest import mixed_model_spec, validate_graph
 
 
@@ -77,6 +79,37 @@ def test_edge_pairs_round_trip():
     pairs = [(0, 3), (1, 2), (2, 3)]
     g = Graph.from_pairs(4, pairs)
     assert [tuple(p) for p in g.edge_pairs()] == sorted(pairs)
+
+
+def test_csr_rows_sorted_beyond_16_bit_labels():
+    # n > 2**16 takes a second radix pass over the high digit of the row key;
+    # the reference is a two-key lexsort of both edge directions
+    n = 70_000
+    rng = np.random.default_rng(5)
+    ends = rng.integers(0, n, size=(4000, 2))
+    pairs = [tuple(p) for p in ends.tolist() if p[0] != p[1]]
+    pairs += [(65535, 65536), (3, 69999), (65536, 69998), (65535, 1)]
+    g = Graph.from_pairs(n, pairs, collapse_duplicates=True)
+    us, vs = np.divmod(g.edge_codes(), n)
+    rows, cols = np.concatenate([us, vs]), np.concatenate([vs, us])
+    assert np.array_equal(g.indices, cols[np.lexsort((cols, rows))])
+    assert np.array_equal(g.degrees, np.bincount(rows, minlength=n))
+
+
+def test_disjoint_union_is_block_diagonal():
+    a = Graph.from_pairs(3, [(0, 1), (1, 2)])
+    b = Graph.from_pairs(4, [(0, 3)])
+    c = Graph.from_pairs(2, [])
+    u = disjoint_union([a, b, c])
+    validate_graph(u)
+    assert u == Graph.from_pairs(9, [(0, 1), (1, 2), (3, 6)])
+    dense = u.to_dense()
+    assert np.array_equal(dense[:3, :3], a.to_dense())
+    assert np.array_equal(dense[3:7, 3:7], b.to_dense())
+    assert dense[:3, 3:].sum() == 0 and dense[3:7, 7:].sum() == 0
+    assert disjoint_union([a]) == a
+    with pytest.raises(ValueError):
+        disjoint_union([])
 
 
 def test_to_dense_symmetric_binary():
@@ -134,6 +167,45 @@ def test_er_mean_edge_count_matches_binomial():
     expected = n * (n - 1) / 2 * p
     sigma_mean = math.sqrt(n * (n - 1) / 2 * p * (1 - p) / seeds)
     assert abs(float(np.mean(counts)) - expected) <= 3 * sigma_mean
+
+
+def _er_reference(n: int, avg: float, seed: int) -> list[int]:
+    """Scalar gap-skipping loop: one uniform per gap, rows walked one by one."""
+    p = avg / (n - 1)
+    rng = SeededRng(seed)
+    total = n * (n - 1) // 2
+    codes = []
+    pos, i, row_start = -1, 0, 0
+    while True:
+        pos += 1 + int(math.log(1.0 - rng.random()) / math.log1p(-p))
+        if pos >= total:
+            return codes
+        while pos - row_start >= n - 1 - i:
+            row_start += n - 1 - i
+            i += 1
+        codes.append(i * n + i + 1 + (pos - row_start))
+
+
+@pytest.mark.parametrize("n,avg,seeds", [(60, 0.9 * 59, 20), (2000, 0.004, 50)])
+def test_er_block_refill_high_and_tiny_p(n, avg, seeds):
+    # a block holds ~ the expected number of gaps, so about half the seeds
+    # need a refill; the result must equal the one-draw-at-a-time loop
+    p = avg / (n - 1)
+    total = n * (n - 1) // 2
+    first_block = math.ceil((total - 1) * p) + 1
+    counts = []
+    for seed in range(seeds):
+        g = gen_erdos_renyi(GraphGenSpec(model="er", n=n, avg_degree=avg, seed=seed))
+        codes = g.edge_codes()
+        assert np.all(np.diff(codes) > 0)  # unique and sorted
+        us, vs = np.divmod(codes, n)
+        assert np.all(us < vs) and (codes.size == 0 or vs.max() < n)
+        assert g.edge_count <= total
+        assert codes.tolist() == _er_reference(n, avg, seed)
+        counts.append(g.edge_count)
+    assert max(counts) >= first_block  # the refill path ran
+    sigma_mean = math.sqrt(total * p * (1 - p) / seeds)
+    assert abs(float(np.mean(counts)) - total * p) <= 3 * sigma_mean
 
 
 def test_er_spec_validation():
@@ -221,6 +293,53 @@ def test_sw_rewiring_changes_ring():
     assert ring != rewired
 
 
+def _sw_reference(n: int, k: int, beta: float, seed: int) -> Graph:
+    """Adjacency-set rewiring that reads the same stream as the generator."""
+    rng = SeededRng(seed)
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u in range(n):
+        for off in range(1, k // 2 + 1):
+            adj[u].add((u + off) % n)
+            adj[(u + off) % n].add(u)
+    decisions = rng.uniforms(n * (k // 2)).tolist()
+    for j, d in enumerate(decisions):
+        u, old = j % n, (j % n + j // n + 1) % n
+        if d >= beta or len(adj[u]) >= n - 1:
+            continue
+        while True:
+            w = int(rng.random() * n)
+            if w != u and w not in adj[u]:
+                break
+        adj[u].discard(old)
+        adj[old].discard(u)
+        adj[u].add(w)
+        adj[w].add(u)
+    return Graph.from_pairs(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
+
+
+@pytest.mark.parametrize("n,k,beta", [(12, 8, 0.9), (40, 6, 0.5), (300, 10, 0.1)])
+def test_sw_matches_adjacency_set_reference(n, k, beta):
+    for seed in range(10):
+        spec = GraphGenSpec(model="sw", n=n, k=k, beta=beta, seed=seed)
+        assert gen_watts_strogatz(spec) == _sw_reference(n, k, beta, seed)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sw_rewired_count_binomial(seed):
+    # each of the nk/2 lattice edges is rewired with prob beta; an edge whose
+    # ring distance exceeds k/2 is a rewired one (a rewire back onto a lattice
+    # pair is rare at this n, and the slack of 5 covers it)
+    n, k, beta = 2000, 10, 0.2
+    g = gen_watts_strogatz(GraphGenSpec(model="sw", n=n, k=k, beta=beta, seed=seed))
+    assert g.edge_count == n * k // 2
+    us, vs = np.divmod(g.edge_codes(), n)
+    dist = np.minimum(vs - us, n - (vs - us))
+    rewired = int(np.count_nonzero(dist > k // 2))
+    trials = n * k // 2
+    sigma = math.sqrt(trials * beta * (1 - beta))
+    assert trials * beta - 4 * sigma - 5 <= rewired <= trials * beta + 4 * sigma
+
+
 def test_sw_spec_validation():
     with pytest.raises(ValueError):
         GraphGenSpec(model="sw", n=10, k=3)  # odd
@@ -276,9 +395,9 @@ def test_canonical_sparse_target_shape():
 def test_canonical_sparse_target_pinned_for_seed_zero():
     # frozen output of the pinned construction; guards RNG/stream stability
     assert canonical_sparse_target(0).edges == (
-        (0, 2), (0, 12), (1, 10), (3, 15), (3, 17), (4, 14), (4, 15),
-        (4, 16), (5, 12), (5, 16), (6, 10), (7, 17), (8, 11), (8, 12),
-        (9, 16), (10, 17), (10, 19), (11, 12), (13, 14), (16, 19), (17, 18),
+        (0, 9), (0, 19), (1, 3), (1, 4), (1, 11), (1, 14), (2, 15),
+        (3, 6), (4, 6), (4, 12), (5, 15), (6, 11), (7, 12), (8, 10),
+        (9, 12), (9, 16), (10, 12), (10, 13), (11, 15), (13, 18), (15, 17),
     )
 
 

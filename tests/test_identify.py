@@ -18,13 +18,16 @@ from communifind import (
     clique,
     draw_embedding,
     embed,
+    generate,
     identification_rate,
     run_pipeline,
     run_pipeline_with_timings,
     summarize_rates,
     top_k,
 )
+from communifind import identify
 from communifind.identify import background_seed, embedding_seed
+from conftest import mixed_model_spec, validate_graph
 
 
 # =====================================================================
@@ -70,6 +73,26 @@ def test_apply_embedding_overlap_collapses():
     e = Embedding(map=np.array([1, 0]))
     host = apply_embedding(background, target, e)
     assert host.edge_count == 1  # already present, union stays simple
+
+
+@pytest.mark.parametrize("index", range(0, 60, 7))
+def test_apply_embedding_matches_pair_union(index):
+    # splicing into CSR must equal a from-scratch build of the union of pairs
+    background = generate(mixed_model_spec(index, max_n=120))
+    target = clique(5) if index % 2 else TargetSpec(4, ((0, 1), (1, 2), (2, 3)))
+    e = draw_embedding(background.n, target.t, seed=index)
+    host = apply_embedding(background, target, e)
+    mapped = [(int(e.map[u]), int(e.map[v])) for u, v in target.edges]
+    pairs = [tuple(p) for p in background.edge_pairs().tolist()] + mapped
+    assert host == Graph.from_pairs(background.n, pairs, collapse_duplicates=True)
+    validate_graph(host)
+    assert not host.indices.flags.writeable and not host.indptr.flags.writeable
+
+
+def test_apply_embedding_on_edgeless_background():
+    host = apply_embedding(Graph.from_pairs(30, []), clique(20), draw_embedding(30, 20, seed=1))
+    assert host.edge_count == 190
+    validate_graph(host)
 
 
 def test_apply_embedding_mismatch_errors():
@@ -231,6 +254,20 @@ def test_pipeline_deterministic_across_calls_and_jobs():
         assert np.array_equal(x.embedding.map, y.embedding.map)
         assert np.array_equal(x.candidates, y.candidates)
         assert x.rate == y.rate
+
+
+def test_stacked_scoring_matches_one_solve_per_background(monkeypatch):
+    # stacking backgrounds into shared Krylov solves must not change what a
+    # run identifies; a stack of n nodes means one background per solve
+    cfg = _small_cfg(runs=6, num_backgrounds=5)
+    stacked = run_pipeline(cfg)
+    monkeypatch.setattr(identify, "_STACK_NODES", cfg.background.n)
+    single = run_pipeline(cfg)
+    monkeypatch.setattr(identify, "_STACK_NODES", 2 * cfg.background.n)
+    pairs = run_pipeline(cfg)  # stacks of 2, 2, 1
+    for a, b, c in zip(stacked, single, pairs):
+        assert np.array_equal(a.candidates, b.candidates)
+        assert np.array_equal(a.candidates, c.candidates)
 
 
 def test_one_embedding_shared_across_backgrounds():
