@@ -74,7 +74,7 @@ def run_row(label, spec_kwargs, target_kind, num_backgrounds, args, method="comm
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=20, help="runs per table row")
-    parser.add_argument("--jobs", type=int, default=4, help="worker threads")
+    parser.add_argument("--jobs", type=int, default=4, help="worker processes")
     parser.add_argument("--seed", type=int, default=11, help="base seed")
     parser.add_argument("--csv", type=Path, default=None, help="also append rows to this CSV")
     args = parser.parse_args(argv)

@@ -34,7 +34,7 @@ def main(argv=None) -> int:
     parser.add_argument("--nodes", type=int, default=1024)
     parser.add_argument("--avg-degree", type=float, default=2.0)
     parser.add_argument("--runs", type=int, default=20)
-    parser.add_argument("--jobs", type=int, default=4)
+    parser.add_argument("--jobs", type=int, default=4, help="worker processes")
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--csv", type=Path, default=None, help="write the sweep to this CSV")
     args = parser.parse_args(argv)

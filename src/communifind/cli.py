@@ -394,14 +394,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("config", help="flat key = value config file")
     p_exp.add_argument("--out-dir", dest="out_dir", required=True)
     p_exp.add_argument("--runs", type=int, default=None, help="override the config run count")
-    p_exp.add_argument("--jobs", type=int, default=1, help="worker threads (results identical)")
+    p_exp.add_argument("--jobs", type=int, default=1, help="worker processes (results identical)")
     p_exp.set_defaults(func=lambda a: _run_experiment_command(a, "communicability"))
 
     p_base = sub.add_parser("baseline", help="modularity-baseline identification experiment")
     p_base.add_argument("config", help="flat key = value config file")
     p_base.add_argument("--out-dir", dest="out_dir", required=True)
     p_base.add_argument("--runs", type=int, default=None)
-    p_base.add_argument("--jobs", type=int, default=1)
+    p_base.add_argument("--jobs", type=int, default=1, help="worker processes (results identical)")
     p_base.set_defaults(func=lambda a: _run_experiment_command(a, "modularity"))
 
     return parser

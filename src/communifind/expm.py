@@ -34,7 +34,8 @@ _ORACLE_MAX_NODES = 512
 
 
 class NumericalBreakdownError(ArithmeticError):
-    """A non-finite quantity appeared during the Krylov recurrence."""
+    """A Krylov solve failed: a non-finite quantity appeared during the
+    recurrence, or an eigensolver did not converge."""
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,18 @@ the per-node total-communicability scores across those realizations, and
 selects the top-k nodes.  The identification rate is the fraction of target
 nodes recovered.  Seeds are derived deterministically from the base seed and
 the run index, so results are reproducible and independent of how runs are
-scheduled across workers.
+scheduled across worker processes.
 """
 
 from __future__ import annotations
 
+import atexit
 import dataclasses
+import functools
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -23,6 +25,9 @@ from .communicability import ScoreVector, summed_total_communicability
 from .expm import KrylovParams
 from .graphs import Graph, GraphGenSpec, TargetSpec, generate
 from .rng import SeededRng, derive_seed
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "Embedding",
@@ -53,6 +58,13 @@ _BACKGROUND_STREAM = 1
 # bounds the memory of a solve.  Larger graphs are scored one at a time.
 _STACK_NODES = 4096
 
+# The worker processes of run batches at jobs > 1 (see _map_runs): kept
+# alive across calls, because starting a pool costs far more than handing
+# a batch to a live one.
+_pool: ProcessPoolExecutor | None = None
+_pool_workers = 0
+_pool_lock = threading.Lock()
+
 
 # =====================================================================
 # Embedding
@@ -74,6 +86,11 @@ class Embedding:
             raise ValueError("embedding map must be injective")
         arr.flags.writeable = False
         object.__setattr__(self, "map", arr)
+
+    def __reduce__(self):
+        # rebuild through __init__, so an embedding sent back from a worker
+        # process is read-only again
+        return (Embedding, (self.map,))
 
     @property
     def t(self) -> int:
@@ -255,28 +272,90 @@ def _background_spec(cfg: ExperimentConfig, run_index: int, background_index: in
     )
 
 
-def run_pipeline_with_timings(
-    cfg: ExperimentConfig, *, jobs: int = 1
-) -> tuple[list[RunResult], PhaseSeconds]:
-    """Execute all runs (optionally across threads) and collect phase times.
+def _pool_map(run: Callable[[int], object], runs: int, workers: int) -> list:
+    """``[run(i) for i in range(runs)]`` on the shared pool of ``workers`` processes."""
+    global _pool, _pool_workers
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    Results are identical for any ``jobs``: every run derives its own seeds
-    and results are collected in run order.
+    with _pool_lock:
+        if _pool is not None and _pool_workers != workers:
+            _pool.shutdown()
+            _pool = None
+        if _pool is None:
+            _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
+        pool = _pool
+    try:
+        return list(pool.map(run, range(runs), chunksize=-(-runs // workers)))
+    except BrokenProcessPool:
+        # a worker died; the next call starts a fresh pool
+        with _pool_lock:
+            if _pool is pool:
+                _pool = None
+        raise
+
+
+@atexit.register
+def _drop_pool() -> None:
+    # concurrent.futures' own exit hook has stopped the workers by now; the
+    # last reference goes while modules are intact, so the pool's finalizer
+    # does not run during interpreter teardown
+    global _pool
+    _pool = None
+
+
+def _map_runs(
+    one_run: Callable[..., tuple[RunResult, PhaseSeconds]],
+    cfg: ExperimentConfig,
+    jobs: int,
+    **kwargs: object,
+) -> tuple[list[RunResult], PhaseSeconds]:
+    """``one_run(cfg, i, **kwargs)`` for every run index i, in run order,
+    with the phase times summed over runs.
+
+    With ``jobs == 1`` or a single run, the runs execute inline.  Otherwise
+    they go to a module-wide pool of min(jobs, runs) worker processes, one
+    chunk of consecutive runs per worker.  The pool is created on first use,
+    kept for later calls, and replaced when its size changes or a worker
+    dies; ``concurrent.futures`` shuts it down at interpreter exit.
+    ``one_run`` and its arguments are pickled, so ``one_run`` must be a
+    module-level function.
+
+    Workers start with the platform's default method.  On Linux before
+    Python 3.14 that is fork: a pool starts in milliseconds, where spawned
+    workers would first import numpy and scipy, and the executor forks all
+    its workers before it starts its own thread.  Forked workers keep the
+    module state of the moment the pool was created: a later change to a
+    module global, such as a test patching ``_STACK_NODES``, does not reach
+    them, so such tests run at ``jobs=1``.  Where the default is spawn or
+    forkserver, a script that calls this with ``jobs > 1`` needs an
+    ``if __name__ == "__main__":`` guard.
     """
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
+    run = functools.partial(one_run, cfg, **kwargs)
     if jobs == 1 or cfg.runs == 1:
-        outcomes = [_single_run(cfg, r) for r in range(cfg.runs)]
+        outcomes = [run(i) for i in range(cfg.runs)]
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(lambda r: _single_run(cfg, r), range(cfg.runs)))
-    results = [res for res, _ in outcomes]
+        outcomes = _pool_map(run, cfg.runs, min(jobs, cfg.runs))
     total = PhaseSeconds()
     for _, t in outcomes:
         total.generation += t.generation
         total.scoring += t.scoring
         total.selection += t.selection
-    return results, total
+    return [res for res, _ in outcomes], total
+
+
+def run_pipeline_with_timings(
+    cfg: ExperimentConfig, *, jobs: int = 1
+) -> tuple[list[RunResult], PhaseSeconds]:
+    """Execute all runs, across ``jobs`` worker processes, and collect phase times.
+
+    Results are identical for any ``jobs``: every run derives its own seeds
+    and results are collected in run order.  Phase times are summed over
+    runs, so at ``jobs > 1`` they exceed the wall time of the call.
+    """
+    return _map_runs(_single_run, cfg, jobs)
 
 
 def run_pipeline(cfg: ExperimentConfig, *, jobs: int = 1) -> list[RunResult]:

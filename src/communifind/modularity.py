@@ -7,29 +7,36 @@ with fixed coefficients, the top-r eigenvectors are scanned for the one with
 the smallest L1 norm (localized eigenvectors are suspicious), and a 2-means
 split of the node projections around that eigenvector's strongest node
 separates candidate target nodes from the noise cloud.
+
+B is never formed: a blend of N matrices is a sparse adjacency blend minus a
+rank-N degree term, and ARPACK finds the top-r eigenvectors from products
+with it, so the baseline has no node cap and no O(n^3) step.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse
 
-from .graphs import Graph, TargetSpec, generate
+from .expm import NumericalBreakdownError, _adjacency_csr
+from .graphs import Graph, generate
 from .identify import (
     Embedding,
     ExperimentConfig,
     PhaseSeconds,
     RunResult,
+    _map_runs,
     apply_embedding,
     background_seed,
     draw_embedding,
     embedding_seed,
 )
+from .rng import SeededRng
 
 __all__ = [
     "ModularityMatrix",
@@ -44,17 +51,34 @@ __all__ = [
     "run_baseline",
 ]
 
-_MODULARITY_MAX_NODES = 2048
 _COEFF_SUM_TOL = 1e-9
+_START_SEED = 0  # splitmix64 seed of the scan's start vector
 
 
 @dataclass(frozen=True)
 class ModularityMatrix:
-    """Dense modularity matrix with the degree vector it was built from."""
+    """Modularity matrix B = S - D diag(w) D^T, held as its sparse and low-rank parts.
+
+    ``adjacency`` is the (blended) sparse adjacency S, ``degree_cols`` the
+    n x N matrix D of the degree vectors it was built from, ``weights`` their
+    weights w (1/(2E) for one graph) and ``degrees`` the blended degree
+    vector.  B is never formed: ``b @ x`` costs one sparse product and two
+    products with the N columns of D.
+    """
 
     n: int
-    matrix: np.ndarray
+    adjacency: scipy.sparse.csr_matrix
+    degree_cols: np.ndarray
+    weights: np.ndarray
     degrees: np.ndarray
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """B x for a length-n vector x."""
+        return self.adjacency @ x - self.degree_cols @ (self.weights * (self.degree_cols.T @ x))
+
+    def to_dense(self) -> np.ndarray:
+        """B as an n x n array."""
+        return self.adjacency.toarray() - (self.degree_cols * self.weights) @ self.degree_cols.T
 
 
 @dataclass(frozen=True)
@@ -96,17 +120,14 @@ def modularity_matrix(g: Graph) -> ModularityMatrix:
     """B = A - d d^T / (2E); rows sum to zero by construction."""
     if g.edge_count < 1:
         raise ValueError("modularity matrix needs at least one edge")
-    if g.n > _MODULARITY_MAX_NODES:
-        raise ValueError(
-            f"dense modularity path is limited to n <= {_MODULARITY_MAX_NODES}, got n={g.n}"
-        )
     d = g.degrees.astype(np.float64)
-    # built in place, so at most two n x n arrays are alive at once
-    b = g.to_dense()
-    expected = np.outer(d, d)
-    expected /= 2.0 * g.edge_count
-    b -= expected
-    return ModularityMatrix(n=g.n, matrix=b, degrees=d)
+    return ModularityMatrix(
+        n=g.n,
+        adjacency=_adjacency_csr(g),
+        degree_cols=d[:, None],
+        weights=np.array([1.0 / (2.0 * g.edge_count)]),
+        degrees=d,
+    )
 
 
 def temporal_filter(mats: Sequence[ModularityMatrix], coeffs: FilterCoeffs) -> ModularityMatrix:
@@ -122,12 +143,13 @@ def temporal_filter(mats: Sequence[ModularityMatrix], coeffs: FilterCoeffs) -> M
     for m in mats:
         if m.n != n:
             raise ValueError("all matrices in the window must share the node set")
-    blended = np.zeros((n, n))
-    degrees = np.zeros(n)
-    for m, c in zip(mats, coeffs.c):
-        blended += c * m.matrix
-        degrees += c * m.degrees
-    return ModularityMatrix(n=n, matrix=blended, degrees=degrees)
+    return ModularityMatrix(
+        n=n,
+        adjacency=sum(c * m.adjacency for m, c in zip(mats, coeffs.c)),
+        degree_cols=np.hstack([m.degree_cols for m in mats]),
+        weights=np.concatenate([c * m.weights for m, c in zip(mats, coeffs.c)]),
+        degrees=sum(c * m.degrees for m, c in zip(mats, coeffs.c)),
+    )
 
 
 def eigen_l1_scores(b: ModularityMatrix, r: int = 10) -> EigenScan:
@@ -136,12 +158,31 @@ def eigen_l1_scores(b: ModularityMatrix, r: int = 10) -> EigenScan:
     Eigenvectors are unit-L2, so the L1 norm ranges from 1 (a single spike)
     to sqrt(n) (fully delocalized); the minimum-L1 eigenvector is flagged
     and its largest-magnitude component names the seed anomalous node.
+
+    ARPACK (``eigsh``) finds the r largest eigenpairs from products with B
+    only, started from a fixed splitmix64 vector so reruns are identical.
+    Eigenvector signs are arbitrary; the L1 norms, the seed node and the
+    two-means distances do not depend on them.  ARPACK needs r < n, so
+    r = n, reachable only on graphs of at most r nodes, forms B densely.
+    A scan that does not converge raises :class:`NumericalBreakdownError`.
     """
     if not 1 <= r <= b.n:
         raise ValueError(f"r must lie in [1, {b.n}], got {r}")
-    w, q = np.linalg.eigh(b.matrix)
-    coords = q[:, ::-1][:, :r]  # descending eigenvalue order
-    values = w[::-1][:r].copy()
+    if r == b.n:
+        values, coords = np.linalg.eigh(b.to_dense())
+    else:
+        # imported on first use, so that importing the package does not pay for it
+        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+        op = LinearOperator((b.n, b.n), matvec=b.__matmul__, dtype=np.float64)
+        # not the all-ones vector: B maps it to zero, an exact eigenvector
+        v0 = SeededRng(_START_SEED).uniforms(b.n) - 0.5
+        try:
+            values, coords = eigsh(op, k=r, which="LA", v0=v0)
+        except ArpackNoConvergence as exc:
+            raise NumericalBreakdownError(f"eigenvector scan did not converge: {exc}") from exc
+    order = np.argsort(-values, kind="stable")  # descending eigenvalue order
+    values, coords = values[order], coords[:, order]
     norms = np.abs(coords).sum(axis=0)
     flagged = int(np.argmin(norms))
     seed_node = int(np.argmax(np.abs(coords[:, flagged])))
@@ -243,28 +284,15 @@ def run_baseline_with_timings(
     communicability pipeline, so per-run instances are directly comparable.
 
     ``cfg.num_backgrounds`` doubles as the filter window; ``coeffs`` defaults
-    to the uniform blend.
+    to the uniform blend.  Runs are spread over ``jobs`` worker processes as
+    in :func:`~communifind.identify.run_pipeline_with_timings`; results are
+    identical for any ``jobs``.
     """
-    if jobs < 1:
-        raise ValueError(f"need jobs >= 1, got {jobs}")
     if coeffs is None:
         coeffs = FilterCoeffs.uniform(cfg.num_backgrounds)
     if len(coeffs) != cfg.num_backgrounds:
         raise ValueError("coefficient count must equal num_backgrounds")
-    if jobs == 1 or cfg.runs == 1:
-        outcomes = [_baseline_single_run(cfg, run, coeffs, r) for run in range(cfg.runs)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(
-                pool.map(lambda run: _baseline_single_run(cfg, run, coeffs, r), range(cfg.runs))
-            )
-    results = [res for res, _ in outcomes]
-    total = PhaseSeconds()
-    for _, t in outcomes:
-        total.generation += t.generation
-        total.scoring += t.scoring
-        total.selection += t.selection
-    return results, total
+    return _map_runs(_baseline_single_run, cfg, jobs, coeffs=coeffs, r=r)
 
 
 def run_baseline(

@@ -252,7 +252,7 @@ def _check_modularity_row_sums() -> None:
         if g.edge_count == 0:
             continue
         b = modularity_matrix(g)
-        assert np.abs(b.matrix.sum(axis=1)).max() <= 1e-9
+        assert np.abs(b @ np.ones(g.n)).max() <= 1e-9
 
 
 def _check_jobs_determinism(tmp_path) -> None:

@@ -300,6 +300,21 @@ def test_baseline_end_to_end(tmp_path, capsys):
     assert rows[0]["method"] == "modularity"
 
 
+def test_baseline_nonconvergence_exits_1(tmp_path, capsys, monkeypatch):
+    import scipy.sparse.linalg
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((128, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    cfg = _write_config(tmp_path, BASELINE_CONFIG, name="base.cfg")
+    out_dir = tmp_path / "out"
+    rc = main(["baseline", str(cfg), "--out-dir", str(out_dir)])
+    assert rc == 1
+    assert "numerical breakdown" in capsys.readouterr().err
+    assert not (out_dir / "base.modularity.json").exists()
+
+
 def test_baseline_coeffs_length_checked(tmp_path, capsys):
     cfg = _write_config(tmp_path, BASELINE_CONFIG + "coeffs = 0.5,0.25,0.25\n")
     rc = main(["baseline", str(cfg), "--out-dir", str(tmp_path)])

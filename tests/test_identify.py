@@ -11,6 +11,7 @@ from communifind import (
     ExperimentConfig,
     Graph,
     GraphGenSpec,
+    NumericalBreakdownError,
     ScoreVector,
     TargetSpec,
     apply_embedding,
@@ -20,6 +21,7 @@ from communifind import (
     embed,
     generate,
     identification_rate,
+    run_baseline,
     run_pipeline,
     run_pipeline_with_timings,
     summarize_rates,
@@ -254,6 +256,44 @@ def test_pipeline_deterministic_across_calls_and_jobs():
         assert np.array_equal(x.embedding.map, y.embedding.map)
         assert np.array_equal(x.candidates, y.candidates)
         assert x.rate == y.rate
+
+
+def _same_runs(a, b) -> bool:
+    return len(a) == len(b) and all(
+        np.array_equal(x.embedding.map, y.embedding.map)
+        and np.array_equal(x.candidates, y.candidates)
+        and x.hits == y.hits
+        and x.rate == y.rate
+        for x, y in zip(a, b)
+    )
+
+
+def test_worker_pool_back_to_back_calls_match_serial():
+    # the pool persists across calls and is replaced when jobs changes
+    cfg = _small_cfg(runs=5, num_backgrounds=3)
+    methods = (lambda jobs: run_pipeline(cfg, jobs=jobs), lambda jobs: run_baseline(cfg, r=5, jobs=jobs))
+    serial = [method(1) for method in methods]
+    pools = []
+    for jobs in (2, 3, 2):
+        for method, want in zip(methods, serial):
+            got = method(jobs)
+            pools.append(identify._pool)
+            assert _same_runs(got, want)
+            assert all(not r.embedding.map.flags.writeable for r in got)
+    assert pools[0] is pools[1] and pools[2] is pools[3] and pools[4] is pools[5]
+    assert pools[1] is not pools[2] and pools[3] is not pools[4]
+    _, phases = run_pipeline_with_timings(cfg, jobs=2)
+    assert phases.generation > 0 and phases.scoring > 0
+
+
+def test_worker_pool_reraises_run_errors():
+    # exp(A) of a near-complete graph on 720 nodes overflows in every run
+    cfg = _small_cfg(background=GraphGenSpec(model="er", n=720, avg_degree=719.0), target=clique(2), runs=2)
+    for jobs in (1, 2):
+        with pytest.raises(NumericalBreakdownError), np.errstate(over="ignore"):
+            run_pipeline(cfg, jobs=jobs)
+    # the pool survives a failed batch
+    assert _same_runs(run_pipeline(_small_cfg(), jobs=2), run_pipeline(_small_cfg()))
 
 
 def test_stacked_scoring_matches_one_solve_per_background(monkeypatch):

@@ -6,9 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from communifind import (
     ExperimentConfig,
+    NumericalBreakdownError,
     FilterCoeffs,
     Graph,
     GraphGenSpec,
@@ -19,11 +21,13 @@ from communifind import (
     apply_embedding,
     eigen_l1_scores,
     generate,
+    modularity,
     modularity_matrix,
     run_baseline,
     temporal_filter,
     two_means_split,
 )
+from communifind.identify import background_seed
 from conftest import mixed_model_spec
 
 
@@ -34,15 +38,15 @@ from conftest import mixed_model_spec
 
 def test_matrix_single_edge():
     b = modularity_matrix(clique(2).to_graph())
-    assert b.matrix == pytest.approx(np.array([[-0.5, 0.5], [0.5, -0.5]]))
+    assert b.to_dense() == pytest.approx(np.array([[-0.5, 0.5], [0.5, -0.5]]))
     assert b.degrees.tolist() == [1.0, 1.0]
 
 
 def test_matrix_triangle():
     b = modularity_matrix(clique(3).to_graph())
     expected = np.full((3, 3), 1.0 / 3.0) - np.eye(3)  # off-diag 1/3, diag -2/3
-    assert b.matrix == pytest.approx(-expected * -1.0)
-    assert np.diag(b.matrix) == pytest.approx([-2.0 / 3.0] * 3)
+    assert b.to_dense() == pytest.approx(-expected * -1.0)
+    assert np.diag(b.to_dense()) == pytest.approx([-2.0 / 3.0] * 3)
 
 
 @pytest.mark.parametrize("index", [0, 4, 8, 13])
@@ -57,15 +61,13 @@ def test_matrix_rows_sum_to_zero(index):
         spec = replace(spec, seed=spec.seed + 1)
         g = generate(spec)
     b = modularity_matrix(g)
-    assert np.abs(b.matrix.sum(axis=1)).max() <= 1e-9
-    assert b.matrix == pytest.approx(b.matrix.T)
+    assert np.abs(b @ np.ones(g.n)).max() <= 1e-9
+    assert b.to_dense() == pytest.approx(b.to_dense().T)
 
 
 def test_matrix_guards():
     with pytest.raises(ValueError):
         modularity_matrix(Graph.from_pairs(4, []))
-    with pytest.raises(ValueError):
-        modularity_matrix(Graph.from_pairs(2049, [(0, 1)]))
 
 
 # =====================================================================
@@ -95,16 +97,16 @@ def test_blend_is_linear():
     g2 = generate(GraphGenSpec(model="er", n=40, avg_degree=4.0, seed=2))
     m1, m2 = modularity_matrix(g1), modularity_matrix(g2)
     out = temporal_filter([m1, m2], FilterCoeffs(c=(0.75, 0.25)))
-    assert out.matrix == pytest.approx(0.75 * m1.matrix + 0.25 * m2.matrix, rel=1e-12)
+    assert out.to_dense() == pytest.approx(0.75 * m1.to_dense() + 0.25 * m2.to_dense(), rel=1e-12)
     assert out.degrees == pytest.approx(0.75 * m1.degrees + 0.25 * m2.degrees, rel=1e-12)
     # blended rows still sum to zero
-    assert np.abs(out.matrix.sum(axis=1)).max() <= 1e-9
+    assert np.abs(out @ np.ones(40)).max() <= 1e-9
 
 
 def test_blend_of_one_is_identity():
     m = modularity_matrix(generate(GraphGenSpec(model="ba", n=30, m=2, seed=3)))
     out = temporal_filter([m], FilterCoeffs(c=(1.0,)))
-    assert np.array_equal(out.matrix, m.matrix)
+    assert np.array_equal(out.to_dense(), m.to_dense())
 
 
 def test_blend_rejects_mismatches():
@@ -137,7 +139,14 @@ def test_scan_flags_the_spiky_eigenvector():
     spike[11] = 2.0
     spike[3] = spike[5] = -1.0
     m = _rank_one_matrix([(delocalized, 5.0), (spike, 4.0)], n)
-    scan = eigen_l1_scores(ModularityMatrix(n=n, matrix=m, degrees=np.ones(n)), r=2)
+    b = ModularityMatrix(
+        n=n,
+        adjacency=scipy.sparse.csr_matrix(m),
+        degree_cols=np.zeros((n, 0)),
+        weights=np.zeros(0),
+        degrees=np.ones(n),
+    )
+    scan = eigen_l1_scores(b, r=2)
     assert scan.eigenvalues == pytest.approx([5.0, 4.0])
     assert scan.norms[0] == pytest.approx(np.sqrt(n))  # uniform vector
     assert scan.norms[1] == pytest.approx(4.0 / np.sqrt(6.0))  # the spike
@@ -165,17 +174,104 @@ def test_scan_r_bounds():
         eigen_l1_scores(b, r=4)
 
 
-def test_scan_finds_planted_clique_seed():
-    # flagged eigenvector's strongest node should sit inside the planted clique
+def _planted_clique_hosts():
+    """Ten ER(n=512, avg 4) hosts with a 20-clique, and where it sits."""
     target = clique(20)
-    hits = 0
     for seed in range(10):
         background = generate(GraphGenSpec(model="er", n=512, avg_degree=4.0, seed=100 + seed))
         embedding = draw_embedding(512, 20, seed=200 + seed)
-        host = apply_embedding(background, target, embedding)
+        yield apply_embedding(background, target, embedding), embedding
+
+
+def test_scan_finds_planted_clique_seed():
+    # flagged eigenvector's strongest node should sit inside the planted clique
+    hits = 0
+    for host, embedding in _planted_clique_hosts():
         scan = eigen_l1_scores(modularity_matrix(host), r=5)
         hits += int(scan.seed_node in set(embedding.map.tolist()))
     assert hits >= 7
+
+
+def test_scan_nonconvergence_is_an_error(monkeypatch):
+    import scipy.sparse.linalg
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.zeros(1), np.zeros((8, 1)))
+
+    def no_split(*args, **kwargs):
+        raise AssertionError("split on partial eigenvectors")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    monkeypatch.setattr(modularity, "two_means_split", no_split)
+    g = generate(GraphGenSpec(model="er", n=60, avg_degree=4.0, seed=1))
+    with pytest.raises(NumericalBreakdownError):
+        eigen_l1_scores(modularity_matrix(g), r=4)
+    with pytest.raises(NumericalBreakdownError):
+        baseline_candidates([g], FilterCoeffs.uniform(1), r=4)
+
+
+# =====================================================================
+# Matrix-free scan against the dense eigendecomposition
+# =====================================================================
+
+
+def _dense_b(hosts, c) -> np.ndarray:
+    """Reference B = sum_l c_l (A_l - d_l d_l^T / 2E_l), formed densely."""
+    return sum(
+        w * (h.to_dense() - np.outer(h.degrees, h.degrees) / (2.0 * h.edge_count))
+        for h, w in zip(hosts, c)
+    )
+
+
+def _dense_scan(dense: np.ndarray, r: int):
+    """Reference scan on a full eigendecomposition:
+    (eigenvalues, coords, L1 norms, flagged index, seed node)."""
+    w, q = np.linalg.eigh(dense)
+    coords = q[:, ::-1][:, :r]
+    norms = np.abs(coords).sum(axis=0)
+    flagged = int(np.argmin(norms))
+    return w[::-1][:r], coords, norms, flagged, int(np.argmax(np.abs(coords[:, flagged])))
+
+
+def _dense_candidates(hosts, coeffs: FilterCoeffs, r: int) -> np.ndarray:
+    """Reference baseline_candidates on the dense B."""
+    _, coords, _, _, seed_node = _dense_scan(_dense_b(hosts, coeffs.c), r)
+    target_nodes, _ = two_means_split(coords, seed_node)
+    return np.sort(target_nodes)
+
+
+@pytest.mark.parametrize(
+    "n, avg, window, r",
+    [(40, 4.0, 1, 4), (100, 3.0, 2, 5), (256, 6.0, 3, 8), (512, 4.0, 2, 5)],
+)
+def test_scan_matches_dense_eigh(n, avg, window, r):
+    hosts = [
+        generate(GraphGenSpec(model="er", n=n, avg_degree=avg, seed=10 * n + l)) for l in range(window)
+    ]
+    b = temporal_filter([modularity_matrix(h) for h in hosts], FilterCoeffs.uniform(window))
+    values, _, norms, flagged, seed_node = _dense_scan(b.to_dense(), r)
+    scan = eigen_l1_scores(b, r)
+    assert np.abs(scan.eigenvalues - values).max() <= 1e-9
+    assert np.abs(scan.norms - norms).max() <= 1e-9
+    assert scan.flagged_index == flagged
+    assert scan.seed_node == seed_node
+    assert scan.coords.shape == (n, r)
+
+
+def test_matrix_free_b_matches_dense_b():
+    h1 = generate(GraphGenSpec(model="er", n=50, avg_degree=4.0, seed=1))
+    h2 = generate(GraphGenSpec(model="ba", n=50, m=2, seed=2))
+    b = temporal_filter([modularity_matrix(h1), modularity_matrix(h2)], FilterCoeffs(c=(0.7, 0.3)))
+    dense = _dense_b([h1, h2], (0.7, 0.3))
+    assert np.abs(b.to_dense() - dense).max() <= 1e-12
+    for x in np.random.default_rng(0).standard_normal((3, 50)):
+        assert np.abs(b @ x - dense @ x).max() <= 1e-12
+
+
+def test_baseline_candidates_match_dense_on_planted_cliques():
+    for host, _ in _planted_clique_hosts():
+        got = baseline_candidates([host], FilterCoeffs.uniform(1), r=5)
+        assert np.array_equal(got, _dense_candidates([host], FilterCoeffs.uniform(1), 5))
 
 
 # =====================================================================
@@ -239,6 +335,34 @@ def _baseline_cfg(**overrides) -> ExperimentConfig:
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
+
+
+def test_baseline_runs_match_dense_reference():
+    cfg = _baseline_cfg(runs=6)
+    coeffs = FilterCoeffs.uniform(cfg.num_backgrounds)
+    for r in (5, 10):
+        for run, res in enumerate(run_baseline(cfg, r=r)):
+            hosts = [
+                apply_embedding(
+                    generate(replace(cfg.background, seed=background_seed(cfg.base_seed, run, b))),
+                    cfg.target,
+                    res.embedding,
+                )
+                for b in range(cfg.num_backgrounds)
+            ]
+            assert np.array_equal(res.candidates, _dense_candidates(hosts, coeffs, r))
+
+
+def test_baseline_has_no_node_cap():
+    # n = 5000 was past the dense path's cap of 2048 nodes
+    cfg = ExperimentConfig(
+        background=GraphGenSpec(model="er", n=5000, avg_degree=4.0),
+        target=clique(20),
+        num_backgrounds=2,
+        runs=1,
+    )
+    (res,) = run_baseline(cfg, r=5)
+    assert res.rate == 1.0
 
 
 def test_baseline_candidates_deterministic():
