@@ -51,7 +51,6 @@ from .identify import (
     embed,
     identification_rate,
     run_pipeline,
-    run_pipeline_with_timings,
     summarize_rates,
     top_k,
 )
@@ -63,7 +62,6 @@ from .modularity import (
     eigen_l1_scores,
     modularity_matrix,
     run_baseline,
-    run_baseline_with_timings,
     temporal_filter,
     two_means_split,
 )
@@ -112,9 +110,7 @@ __all__ = [
     "modularity_matrix",
     "read_edge_list",
     "run_baseline",
-    "run_baseline_with_timings",
     "run_pipeline",
-    "run_pipeline_with_timings",
     "subgraph_centrality",
     "summed_total_communicability",
     "summarize_rates",

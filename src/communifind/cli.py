@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -44,10 +45,10 @@ from .identify import (
     ExperimentConfig,
     RunResult,
     PhaseSeconds,
-    run_pipeline_with_timings,
+    run_pipeline,
     summarize_rates,
 )
-from .modularity import FilterCoeffs, run_baseline_with_timings
+from .modularity import FilterCoeffs, run_baseline
 from .rng import GENERATOR
 
 __all__ = ["main", "entry_point", "ConfigError", "parse_flat_config", "build_experiment_config"]
@@ -213,7 +214,6 @@ def _report_dict(
     values: dict[str, object],
     cfg: ExperimentConfig,
     results: list[RunResult],
-    phases: PhaseSeconds,
     total_seconds: float,
 ) -> dict[str, object]:
     summary = summarize_rates(results)
@@ -225,9 +225,8 @@ def _report_dict(
         "std_rate": summary.std,
         "perfect_fraction": summary.perfect_fraction,
         "phase_seconds": {
-            "generation": phases.generation,
-            "scoring": phases.scoring,
-            "selection": phases.selection,
+            f.name: sum(getattr(res.seconds, f.name) for res in results)
+            for f in dataclasses.fields(PhaseSeconds)
         },
         "total_seconds": total_seconds,
         "runs": [
@@ -270,13 +269,11 @@ def _run_experiment_command(args: argparse.Namespace, method: str) -> int:
                 "config error: key 'coeffs': need one coefficient per background "
                 f"({cfg.num_backgrounds}), got {len(coeffs)}"
             )
-        results, phases = run_baseline_with_timings(
-            cfg, coeffs=coeffs, r=int(values.get("r_dims", 10)), jobs=args.jobs
-        )
+        results = run_baseline(cfg, coeffs=coeffs, r=int(values.get("r_dims", 10)), jobs=args.jobs)
     else:
-        results, phases = run_pipeline_with_timings(cfg, jobs=args.jobs)
+        results = run_pipeline(cfg, jobs=args.jobs)
     total_seconds = time.perf_counter() - t0
-    report = _report_dict(method, values, cfg, results, phases, total_seconds)
+    report = _report_dict(method, values, cfg, results, total_seconds)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         stem = Path(args.config).stem

@@ -7,6 +7,9 @@ selects the top-k nodes.  The identification rate is the fraction of target
 nodes recovered.  Seeds are derived deterministically from the base seed and
 the run index, so results are reproducible and independent of how runs are
 scheduled across worker processes.
+
+One driver, :func:`_run`, executes a run of either method: the pipeline
+here and the modularity baseline pass their own score and select steps.
 """
 
 from __future__ import annotations
@@ -14,10 +17,11 @@ from __future__ import annotations
 import atexit
 import dataclasses
 import functools
+import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,7 +45,6 @@ __all__ = [
     "top_k",
     "identification_rate",
     "run_pipeline",
-    "run_pipeline_with_timings",
     "summarize_rates",
     "run_seed",
     "embedding_seed",
@@ -199,23 +202,34 @@ class ExperimentConfig:
         return self.k if self.k is not None else self.target.t
 
 
+@dataclass
+class PhaseSeconds:
+    """Wall time of one run's phases.
+
+    ``generation`` builds the hosts (background generation and embedding),
+    ``scoring`` is the method's scoring of the hosts without generation, and
+    ``selection`` picks the candidates: top-k for the pipeline, the
+    two-means split for the baseline.
+    """
+
+    generation: float = 0.0
+    scoring: float = 0.0
+    selection: float = 0.0
+
+
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of a single run: where the target sat and what was recovered."""
+    """Outcome of a single run: where the target sat, what was recovered,
+    and how long each phase of the run took.
+
+    Everything but ``seconds`` is identical for any ``jobs``.
+    """
 
     embedding: Embedding
     candidates: np.ndarray
     hits: int
     rate: float
-
-
-@dataclass
-class PhaseSeconds:
-    """Cumulative wall time per pipeline phase, summed over runs."""
-
-    generation: float = 0.0
-    scoring: float = 0.0
-    selection: float = 0.0
+    seconds: PhaseSeconds = field(default_factory=PhaseSeconds)
 
 
 @dataclass(frozen=True)
@@ -238,38 +252,55 @@ def background_seed(base_seed: int, run_index: int, background_index: int) -> in
     return derive_seed(run_seed(base_seed, run_index), _BACKGROUND_STREAM, background_index)
 
 
-def _single_run(cfg: ExperimentConfig, run_index: int) -> tuple[RunResult, PhaseSeconds]:
+def _hosts(
+    cfg: ExperimentConfig, run_index: int, embedding: Embedding, times: PhaseSeconds
+) -> Iterator[Graph]:
+    """The run's host graphs, built on demand: each background with the target
+    overlaid through ``embedding``.  Build times add to ``times.generation``."""
+    for b in range(cfg.num_backgrounds):
+        t0 = time.perf_counter()
+        spec = dataclasses.replace(cfg.background, seed=background_seed(cfg.base_seed, run_index, b))
+        host = apply_embedding(generate(spec), cfg.target, embedding)
+        times.generation += time.perf_counter() - t0
+        yield host
+
+
+def _run(
+    cfg: ExperimentConfig,
+    run_index: int,
+    score: Callable[[Iterator[Graph]], Any],
+    select: Callable[[Any], np.ndarray],
+) -> RunResult:
+    """One run of a method: ``select(score(hosts))`` names the candidates.
+
+    ``score`` consumes the hosts as it goes, so its time less the hosts'
+    build time is the scoring time.
+    """
     times = PhaseSeconds()
     embedding = draw_embedding(
         cfg.background.n, cfg.target.t, embedding_seed(cfg.base_seed, run_index)
     )
-    n = cfg.background.n
+    t0 = time.perf_counter()
+    scored = score(_hosts(cfg, run_index, embedding, times))
+    t1 = time.perf_counter()
+    candidates = select(scored)
+    times.selection = time.perf_counter() - t1
+    times.scoring = t1 - t0 - times.generation
+    hits = int(np.isin(embedding.map, candidates).sum())
+    rate = hits / cfg.target.t
+    return RunResult(embedding=embedding, candidates=candidates, hits=hits, rate=rate, seconds=times)
+
+
+def _summed_scores(hosts: Iterator[Graph], n: int, krylov: KrylovParams) -> ScoreVector:
+    """Summed total communicability of the hosts, one Krylov solve per stack
+    of up to ``_STACK_NODES`` nodes, stacks summed in host order."""
     stack = max(1, _STACK_NODES // n)
     scores = np.zeros(n)
-    for start in range(0, cfg.num_backgrounds, stack):
-        t0 = time.perf_counter()
-        hosts = [
-            apply_embedding(generate(_background_spec(cfg, run_index, b)), cfg.target, embedding)
-            for b in range(start, min(start + stack, cfg.num_backgrounds))
-        ]
-        t1 = time.perf_counter()
-        scores += summed_total_communicability(hosts, cfg.krylov).scores
-        t2 = time.perf_counter()
-        times.generation += t1 - t0
-        times.scoring += t2 - t1
-    t3 = time.perf_counter()
-    combined = ScoreVector(scores=scores, kind="tc_sum", num_backgrounds=cfg.num_backgrounds)
-    candidates = top_k(combined, cfg.effective_k)
-    hits = int(np.isin(embedding.map, candidates).sum())
-    times.selection += time.perf_counter() - t3
-    rate = hits / cfg.target.t
-    return RunResult(embedding=embedding, candidates=candidates, hits=hits, rate=rate), times
-
-
-def _background_spec(cfg: ExperimentConfig, run_index: int, background_index: int) -> GraphGenSpec:
-    return dataclasses.replace(
-        cfg.background, seed=background_seed(cfg.base_seed, run_index, background_index)
-    )
+    count = 0
+    while chunk := list(itertools.islice(hosts, stack)):
+        scores += summed_total_communicability(chunk, krylov).scores
+        count += len(chunk)
+    return ScoreVector(scores=scores, kind="tc_sum", num_backgrounds=count)
 
 
 def _pool_map(run: Callable[[int], object], runs: int, workers: int) -> list:
@@ -305,21 +336,20 @@ def _drop_pool() -> None:
 
 
 def _map_runs(
-    one_run: Callable[..., tuple[RunResult, PhaseSeconds]],
     cfg: ExperimentConfig,
     jobs: int,
-    **kwargs: object,
-) -> tuple[list[RunResult], PhaseSeconds]:
-    """``one_run(cfg, i, **kwargs)`` for every run index i, in run order,
-    with the phase times summed over runs.
+    score: Callable[[Iterator[Graph]], Any],
+    select: Callable[[Any], np.ndarray],
+) -> list[RunResult]:
+    """``_run(cfg, i, score, select)`` for every run index i, in run order.
 
     With ``jobs == 1`` or a single run, the runs execute inline.  Otherwise
     they go to a module-wide pool of min(jobs, runs) worker processes, one
     chunk of consecutive runs per worker.  The pool is created on first use,
     kept for later calls, and replaced when its size changes or a worker
     dies; ``concurrent.futures`` shuts it down at interpreter exit.
-    ``one_run`` and its arguments are pickled, so ``one_run`` must be a
-    module-level function.
+    ``score`` and ``select`` are pickled, so they must be module-level
+    functions or partials of them.
 
     Workers start with the platform's default method.  On Linux before
     Python 3.14 that is fork: a pool starts in milliseconds, where spawned
@@ -333,35 +363,25 @@ def _map_runs(
     """
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
-    run = functools.partial(one_run, cfg, **kwargs)
+    run = functools.partial(_run, cfg, score=score, select=select)
     if jobs == 1 or cfg.runs == 1:
-        outcomes = [run(i) for i in range(cfg.runs)]
-    else:
-        outcomes = _pool_map(run, cfg.runs, min(jobs, cfg.runs))
-    total = PhaseSeconds()
-    for _, t in outcomes:
-        total.generation += t.generation
-        total.scoring += t.scoring
-        total.selection += t.selection
-    return [res for res, _ in outcomes], total
-
-
-def run_pipeline_with_timings(
-    cfg: ExperimentConfig, *, jobs: int = 1
-) -> tuple[list[RunResult], PhaseSeconds]:
-    """Execute all runs, across ``jobs`` worker processes, and collect phase times.
-
-    Results are identical for any ``jobs``: every run derives its own seeds
-    and results are collected in run order.  Phase times are summed over
-    runs, so at ``jobs > 1`` they exceed the wall time of the call.
-    """
-    return _map_runs(_single_run, cfg, jobs)
+        return [run(i) for i in range(cfg.runs)]
+    return _pool_map(run, cfg.runs, min(jobs, cfg.runs))
 
 
 def run_pipeline(cfg: ExperimentConfig, *, jobs: int = 1) -> list[RunResult]:
-    """Execute all runs of the experiment; see :func:`run_pipeline_with_timings`."""
-    results, _ = run_pipeline_with_timings(cfg, jobs=jobs)
-    return results
+    """Execute all runs of the experiment across ``jobs`` worker processes.
+
+    Results are identical for any ``jobs``, apart from their phase
+    ``seconds``: every run derives its own seeds and results are collected
+    in run order.
+    """
+    return _map_runs(
+        cfg,
+        jobs,
+        score=functools.partial(_summed_scores, n=cfg.background.n, krylov=cfg.krylov),
+        select=functools.partial(top_k, k=cfg.effective_k),
+    )
 
 
 def summarize_rates(results: Sequence[RunResult]) -> RateSummary:

@@ -15,27 +15,16 @@ with it, so the baseline has no node cap and no O(n^3) step.
 
 from __future__ import annotations
 
-import dataclasses
-import time
+import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse
 
 from .expm import NumericalBreakdownError, _adjacency_csr
-from .graphs import Graph, generate
-from .identify import (
-    Embedding,
-    ExperimentConfig,
-    PhaseSeconds,
-    RunResult,
-    _map_runs,
-    apply_embedding,
-    background_seed,
-    draw_embedding,
-    embedding_seed,
-)
+from .graphs import Graph
+from .identify import ExperimentConfig, RunResult, _map_runs
 from .rng import SeededRng
 
 __all__ = [
@@ -47,7 +36,6 @@ __all__ = [
     "eigen_l1_scores",
     "two_means_split",
     "baseline_candidates",
-    "run_baseline_with_timings",
     "run_baseline",
 ]
 
@@ -237,62 +225,23 @@ def two_means_split(coords: np.ndarray, seed_node: int, max_iter: int = 100) -> 
     return cluster_noise, cluster_seed
 
 
-def baseline_candidates(
-    hosts: Sequence[Graph], coeffs: FilterCoeffs, r: int = 10
-) -> np.ndarray:
-    """Candidate target nodes from a window of embedded host graphs."""
+def _scan(hosts: Iterable[Graph], coeffs: FilterCoeffs, r: int) -> EigenScan:
+    """Eigenvector scan of the blended modularity matrices of the hosts."""
     mats = [modularity_matrix(h) for h in hosts]
-    blended = temporal_filter(mats, coeffs)
-    scan = eigen_l1_scores(blended, r)
+    return eigen_l1_scores(temporal_filter(mats, coeffs), r)
+
+
+def _split(scan: EigenScan) -> np.ndarray:
+    """Sorted target side of the two-means split around the scan's seed node."""
     target_nodes, _ = two_means_split(scan.coords, scan.seed_node)
     return np.sort(target_nodes).astype(np.int64)
 
 
-def _baseline_single_run(
-    cfg: ExperimentConfig, run_index: int, coeffs: FilterCoeffs, r: int
-) -> tuple[RunResult, PhaseSeconds]:
-    times = PhaseSeconds()
-    embedding = draw_embedding(
-        cfg.background.n, cfg.target.t, embedding_seed(cfg.base_seed, run_index)
-    )
-    hosts: list[Graph] = []
-    t0 = time.perf_counter()
-    for b in range(cfg.num_backgrounds):
-        spec = dataclasses.replace(
-            cfg.background, seed=background_seed(cfg.base_seed, run_index, b)
-        )
-        hosts.append(apply_embedding(generate(spec), cfg.target, embedding))
-    t1 = time.perf_counter()
-    candidates = baseline_candidates(hosts, coeffs, r)
-    t2 = time.perf_counter()
-    hits = int(np.isin(embedding.map, candidates).sum())
-    rate = hits / cfg.target.t
-    times.generation += t1 - t0
-    times.scoring += t2 - t1
-    times.selection += time.perf_counter() - t2
-    return RunResult(embedding=embedding, candidates=candidates, hits=hits, rate=rate), times
-
-
-def run_baseline_with_timings(
-    cfg: ExperimentConfig,
-    *,
-    coeffs: FilterCoeffs | None = None,
-    r: int = 10,
-    jobs: int = 1,
-) -> tuple[list[RunResult], PhaseSeconds]:
-    """Run the modularity baseline under the same seeding scheme as the
-    communicability pipeline, so per-run instances are directly comparable.
-
-    ``cfg.num_backgrounds`` doubles as the filter window; ``coeffs`` defaults
-    to the uniform blend.  Runs are spread over ``jobs`` worker processes as
-    in :func:`~communifind.identify.run_pipeline_with_timings`; results are
-    identical for any ``jobs``.
-    """
-    if coeffs is None:
-        coeffs = FilterCoeffs.uniform(cfg.num_backgrounds)
-    if len(coeffs) != cfg.num_backgrounds:
-        raise ValueError("coefficient count must equal num_backgrounds")
-    return _map_runs(_baseline_single_run, cfg, jobs, coeffs=coeffs, r=r)
+def baseline_candidates(
+    hosts: Sequence[Graph], coeffs: FilterCoeffs, r: int = 10
+) -> np.ndarray:
+    """Candidate target nodes from a window of embedded host graphs."""
+    return _split(_scan(hosts, coeffs, r))
 
 
 def run_baseline(
@@ -302,5 +251,16 @@ def run_baseline(
     r: int = 10,
     jobs: int = 1,
 ) -> list[RunResult]:
-    results, _ = run_baseline_with_timings(cfg, coeffs=coeffs, r=r, jobs=jobs)
-    return results
+    """Run the modularity baseline under the same seeding scheme as the
+    communicability pipeline, so per-run instances are directly comparable.
+
+    ``cfg.num_backgrounds`` doubles as the filter window; ``coeffs`` defaults
+    to the uniform blend.  Runs go through the same driver and worker pool
+    as :func:`~communifind.identify.run_pipeline`; results are identical for
+    any ``jobs``, apart from their phase ``seconds``.
+    """
+    if coeffs is None:
+        coeffs = FilterCoeffs.uniform(cfg.num_backgrounds)
+    if len(coeffs) != cfg.num_backgrounds:
+        raise ValueError("coefficient count must equal num_backgrounds")
+    return _map_runs(cfg, jobs, score=functools.partial(_scan, coeffs=coeffs, r=r), select=_split)

@@ -263,6 +263,16 @@ def test_experiment_runs_override_and_summary_append(tmp_path):
     assert [r["runs"] for r in rows] == ["1", "2"]  # but the summary appends
 
 
+@pytest.mark.parametrize("command", ["experiment", "baseline"])
+def test_jobs_below_one_is_usage_error(tmp_path, capsys, command):
+    cfg = _write_config(tmp_path, BASELINE_CONFIG if command == "baseline" else EXPERIMENT_CONFIG)
+    out_dir = tmp_path / "out"
+    rc = main([command, str(cfg), "--out-dir", str(out_dir), "--jobs", "0"])
+    assert rc == 2
+    assert "jobs" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_experiment_missing_config(tmp_path, capsys):
     rc = main(["experiment", str(tmp_path / "nope.cfg"), "--out-dir", str(tmp_path)])
     assert rc == 1
@@ -295,6 +305,8 @@ def test_baseline_end_to_end(tmp_path, capsys):
     report = json.loads((out_dir / "base.modularity.json").read_text())
     assert report["method"] == "modularity"
     assert report["rng"] == "splitmix64-counter"
+    assert set(report["phase_seconds"]) == {"generation", "scoring", "selection"}
+    assert report["phase_seconds"]["scoring"] > 0
     with (out_dir / "summary.csv").open() as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["method"] == "modularity"
