@@ -10,14 +10,27 @@ block-triangular projection matrix.  Each completed cycle contributes
 cycles then approximate the remaining error, so discarding old bases loses
 nothing.  :func:`expm_dense_oracle` is the independent dense reference used
 to validate it.
+
+Within a cycle the basis is orthonormal, so the change between successive
+iterates is ``beta0 * ||y_s - [y_{s-1}; 0]||`` for the cycle's part of the
+projected vectors, and ``||x_s|| <= ||x_base|| + beta0 * ||y_s||``.  Their
+ratio is a lower bound on the relative change of the whole iterate, which in
+turn is at most the largest change of a block.  While that bound is above
+``2 * tol`` no stopping test can pass, so the length-n iterate is not formed:
+a step keeps only its small projected vector.  The iterate (and, lazily, the
+previous one) is formed with the same expressions whenever the bound falls
+below, at the last step of a cycle, or on an invariant subspace, so the
+stopping step and the result are the same as when every iterate is formed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse
 
 from .graphs import Graph
@@ -31,6 +44,9 @@ __all__ = [
 ]
 
 _ORACLE_MAX_NODES = 512
+# Absolute slack of the screen, beyond the factor 2 on tol: it covers the
+# rounding of forming the iterates, which matters only for tol near eps.
+_SCREEN_SLACK = 1e-12
 
 
 class NumericalBreakdownError(ArithmeticError):
@@ -62,11 +78,16 @@ class KrylovParams:
 
 @dataclass(frozen=True)
 class ExpmResult:
-    """Approximation of exp(A) v with its error estimate and step count."""
+    """Approximation of exp(A) v with its error estimate and step count.
+
+    ``converged`` is True when ``tol`` was met or an invariant subspace made
+    the result exact, False when the restart budget ran out first.
+    """
 
     value: np.ndarray
     est_error: float
     iterations: int
+    converged: bool
 
 
 def _adjacency_csr(g: Graph) -> scipy.sparse.csr_matrix:
@@ -85,7 +106,11 @@ def _expm_first_col(h: np.ndarray, *, tridiagonal: bool) -> np.ndarray:
     if h.shape[0] == 1:
         return np.exp(h[0, :1]).copy()
     if tridiagonal:
-        w, q = scipy.linalg.eigh_tridiagonal(np.diag(h).copy(), np.diag(h, -1).copy())
+        # the LAPACK driver scipy.linalg.eigh_tridiagonal selects, without its
+        # argument checks: h holds only finite entries
+        w, q, info = scipy.linalg.lapack.dstevd(h.diagonal(), h.diagonal(-1))
+        if info:
+            raise NumericalBreakdownError(f"tridiagonal eigensolver failed (dstevd info={info})")
         return q @ (np.exp(w) * q[0, :])
     return np.ascontiguousarray(scipy.linalg.expm(h)[:, 0])
 
@@ -124,7 +149,8 @@ def expm_action(
         ``value`` is the approximation, ``est_error`` the largest relative
         change of a block of the final iterate (0.0 when an invariant
         subspace made the result exact), ``iterations`` the total Lanczos
-        steps across all cycles.
+        steps across all cycles, ``converged`` whether ``tol`` was met (or
+        the result is exact) before the restart budget ran out.
 
     Raises
     ------
@@ -150,7 +176,7 @@ def expm_action(
     cap = params.m * (params.max_restarts + 1)
     h = np.zeros((cap, cap))  # projected matrix, grows one row/column per step
     x_base = np.zeros(n)  # frozen contribution of completed cycles
-    x_prev: np.ndarray | None = None
+    screen = 2.0 * params.tol + _SCREEN_SLACK
     diff = np.inf
     v_cur = v / beta0
     connector = 0.0  # residual norm carried over a cycle boundary
@@ -162,8 +188,12 @@ def expm_action(
         if cycle:
             # one-sided coupling into the previous cycle's last step
             h[cycle_start, cycle_start - 1] = connector
+        base_norm = math.sqrt(x_base.dot(x_base))
+        # iterate of the previous step, or None when that step skipped it;
+        # a cycle's first step compares against the frozen cycles
+        x_prev = x_base if cycle else None
+        y_prev = np.empty(0)
         jloc = 0
-        y = np.empty(0)
         for _j in range(params.m):
             basis[jloc] = v_cur
             jloc += 1
@@ -180,31 +210,46 @@ def expm_action(
             h[s, s] = alpha
             s += 1
             y = _expm_first_col(h[:s, :s], tridiagonal=cycle == 0)
-            x = x_base + beta0 * (basis[:jloc].T @ y[cycle_start:s])
-            if not np.all(np.isfinite(x)):
-                raise NumericalBreakdownError("non-finite iterate (exp overflow?)")
-            if x_prev is not None:
-                diff = _relative_change(x, x_prev, blocks)
-            x_prev = x
-            beta = float(np.linalg.norm(w))
+            y_cyc = y[cycle_start:s]
+            beta = math.sqrt(w.dot(w))  # np.linalg.norm's expression, without its overhead
             if not np.isfinite(beta):
                 raise NumericalBreakdownError("non-finite Lanczos coefficient")
-            if beta <= 1e-12 * max(1.0, abs(alpha)):
-                # invariant subspace reached: the approximation is exact
-                return ExpmResult(value=x, est_error=0.0, iterations=s)
-            if diff <= params.tol:
-                return ExpmResult(value=x, est_error=diff, iterations=s)
+            exact = beta <= 1e-12 * max(1.0, abs(alpha))
+            # screen: step / upper bounds the relative change from below, and
+            # upper bounds every |x_i|, so below 1e300 a skipped x is finite;
+            # comparisons with inf or nan are False, so a non-finite y forms x
+            # and raises as before
+            dy = y_cyc[:-1] - y_prev[cycle_start:]
+            step = beta0 * math.sqrt(dy.dot(dy) + y_cyc[-1] ** 2)
+            upper = base_norm + beta0 * math.sqrt(y_cyc.dot(y_cyc))
+            if jloc < params.m and not exact and upper < 1e300 and step > screen * upper:
+                x_prev = None
+            else:
+                if x_prev is None and jloc > 1:
+                    x_prev = x_base + beta0 * (basis[: jloc - 1].T @ y_prev[cycle_start:])
+                x = x_base + beta0 * (basis[:jloc].T @ y_cyc)
+                if not np.all(np.isfinite(x)):
+                    raise NumericalBreakdownError("non-finite iterate (exp overflow?)")
+                if x_prev is not None:
+                    diff = _relative_change(x, x_prev, blocks)
+                x_prev = x
+                if exact:
+                    # invariant subspace reached: the approximation is exact
+                    return ExpmResult(value=x, est_error=0.0, iterations=s, converged=True)
+                if diff <= params.tol:
+                    return ExpmResult(value=x, est_error=diff, iterations=s, converged=True)
+            y_prev = y
             if jloc < params.m:
                 h[s - 1, s] = beta
                 h[s, s - 1] = beta
             v_cur = w / beta
-        # cycle exhausted: freeze its contribution, exact for the projection
-        # built so far; the next cycle approximates the remaining error
-        x_base = x_base + beta0 * (basis.T @ y[cycle_start:s])
+        # cycle exhausted: its last iterate, always formed, freezes the
+        # contribution, exact for the projection built so far; the next
+        # cycle approximates the remaining error
+        x_base = x_prev
         connector = beta
 
-    assert x_prev is not None
-    return ExpmResult(value=x_prev, est_error=diff, iterations=s)
+    return ExpmResult(value=x_base, est_error=diff, iterations=s, converged=False)
 
 
 def expm_dense_oracle(g: Graph) -> np.ndarray:

@@ -6,11 +6,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.lapack
+import scipy.sparse
 
 from communifind import (
     Graph,
     GraphGenSpec,
     KrylovParams,
+    NumericalBreakdownError,
     clique,
     disjoint_union,
     expm_action,
@@ -203,3 +207,166 @@ def test_blocks_must_divide_node_count():
     for blocks in (0, 4, 7):
         with pytest.raises(ValueError):
             expm_action(g, np.ones(6), blocks=blocks)
+
+
+# =====================================================================
+# Convergence flag
+# =====================================================================
+
+
+def _sw2000() -> Graph:
+    return generate(GraphGenSpec(model="sw", n=2000, k=40, beta=0.1, seed=1))
+
+
+def test_exhausted_budget_reports_not_converged():
+    res = expm_action(_sw2000(), np.ones(2000), KrylovParams(m=4, max_restarts=1))
+    assert not res.converged
+    assert res.iterations == 8
+    assert 1e-3 < res.est_error < 1e-2
+
+
+def test_converged_solves_flagged():
+    params = KrylovParams(tol=1e-8)
+    res = expm_action(_sw2000(), np.ones(2000), params)
+    assert res.converged
+    assert res.est_error <= params.tol
+    exact = expm_action(clique(20).to_graph(), np.ones(20))
+    assert exact.converged and exact.est_error == 0.0
+
+
+# =====================================================================
+# Error paths
+# =====================================================================
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+def test_overflow_raises_breakdown():
+    # exp(759) overflows: the exact one-step answer is not representable
+    with pytest.raises(NumericalBreakdownError):
+        expm_action(clique(760).to_graph(), np.ones(760))
+
+
+def test_tridiagonal_eigensolver_failure_raises_breakdown(monkeypatch):
+    def failing_dstevd(d, e):
+        return np.zeros(d.size), np.eye(d.size), 3
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", failing_dstevd)
+    g = generate(GraphGenSpec(model="er", n=100, avg_degree=4.0, seed=2))
+    with pytest.raises(NumericalBreakdownError, match="info=3"):
+        expm_action(g, np.ones(100))
+
+
+# =====================================================================
+# Bit identity with the solver that forms the iterate at every step
+# =====================================================================
+
+
+def _reference_expm_action(g, v, params, blocks=1):
+    """Restarted Lanczos that forms and tests the length-n iterate at every
+    step, frozen as the solver stood before steps could skip it."""
+
+    def first_col(h, tridiagonal):
+        if h.shape[0] == 1:
+            return np.exp(h[0, :1]).copy()
+        if tridiagonal:
+            w, q = scipy.linalg.eigh_tridiagonal(np.diag(h).copy(), np.diag(h, -1).copy())
+            return q @ (np.exp(w) * q[0, :])
+        return np.ascontiguousarray(scipy.linalg.expm(h)[:, 0])
+
+    def relative_change(x, x_prev):
+        change = np.linalg.norm((x - x_prev).reshape(blocks, -1), axis=1)
+        size = np.linalg.norm(x.reshape(blocks, -1), axis=1)
+        if np.any(size == 0.0):
+            return np.inf
+        return float(np.max(change / size))
+
+    n = g.n
+    v = np.asarray(v, dtype=np.float64)
+    beta0 = float(np.linalg.norm(v))
+    a = scipy.sparse.csr_matrix((np.ones(g.indices.size), g.indices, g.indptr), shape=(n, n))
+    cap = params.m * (params.max_restarts + 1)
+    h = np.zeros((cap, cap))
+    x_base = np.zeros(n)
+    x_prev = None
+    diff = np.inf
+    v_cur = v / beta0
+    connector = 0.0
+    s = 0
+    for cycle in range(params.max_restarts + 1):
+        basis = np.empty((params.m, n))
+        cycle_start = s
+        if cycle:
+            h[cycle_start, cycle_start - 1] = connector
+        jloc = 0
+        y = np.empty(0)
+        for _j in range(params.m):
+            basis[jloc] = v_cur
+            jloc += 1
+            w = a @ v_cur
+            alpha = float(v_cur @ w)
+            w -= alpha * v_cur
+            if jloc > 1:
+                w -= h[s, s - 1] * basis[jloc - 2]
+            for _ in range(2):
+                w -= basis[:jloc].T @ (basis[:jloc] @ w)
+            h[s, s] = alpha
+            s += 1
+            y = first_col(h[:s, :s], cycle == 0)
+            x = x_base + beta0 * (basis[:jloc].T @ y[cycle_start:s])
+            if x_prev is not None:
+                diff = relative_change(x, x_prev)
+            x_prev = x
+            beta = float(np.linalg.norm(w))
+            if beta <= 1e-12 * max(1.0, abs(alpha)):
+                return x, 0.0, s
+            if diff <= params.tol:
+                return x, diff, s
+            if jloc < params.m:
+                h[s - 1, s] = beta
+                h[s, s - 1] = beta
+            v_cur = w / beta
+        x_base = x_base + beta0 * (basis.T @ y[cycle_start:s])
+        connector = beta
+    return x_prev, diff, s
+
+
+def _er_stack():
+    return disjoint_union(
+        [generate(GraphGenSpec(model="er", n=1024, avg_degree=2.0, seed=40 + b)) for b in range(4)]
+    ), 4
+
+
+def _sw_stack():
+    return disjoint_union(
+        [generate(GraphGenSpec(model="sw", n=1024, k=40, beta=0.1, seed=50 + b)) for b in range(2)]
+    ), 2
+
+
+def _clique_path():
+    path = Graph.from_pairs(40, [(i, i + 1) for i in range(39)])
+    return disjoint_union([clique(12).to_graph(), path]), 2
+
+
+@pytest.mark.parametrize(
+    "host, params",
+    [
+        (_er_stack, KrylovParams()),
+        (_sw_stack, KrylovParams()),
+        (_clique_path, KrylovParams(tol=1e-8)),
+        (lambda: (_sw2000(), 1), KrylovParams(m=4, max_restarts=8)),
+        (lambda: (_sw2000(), 1), KrylovParams(m=5, max_restarts=6)),
+        (lambda: (_sw2000(), 1), KrylovParams(m=8)),
+        (lambda: (_sw2000(), 1), KrylovParams(m=4, max_restarts=1)),
+        (lambda: (clique(20).to_graph(), 1), KrylovParams()),
+    ],
+    ids=["er-stack-4", "sw-stack-2", "clique-path", "restart-m4", "restart-m5", "restart-m8",
+         "budget-exhausted", "invariant-subspace"],
+)
+def test_bit_identical_to_reference_loop(host, params):
+    g, blocks = host()
+    v = np.ones(g.n)
+    value, est_error, iterations = _reference_expm_action(g, v, params, blocks)
+    res = expm_action(g, v, params, blocks=blocks)
+    assert np.array_equal(res.value, value)
+    assert res.est_error == est_error
+    assert res.iterations == iterations
