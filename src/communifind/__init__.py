@@ -1,9 +1,9 @@
 """communifind: locate small sub-graphs hidden in large background graphs.
 
 The signal is total communicability — the row sums of the adjacency-matrix
-exponential, computed at scale by a restarted Lanczos approximation — summed
-across independent background realizations so that the persistent hidden
-structure outweighs background fluctuations.  A spectral modularity baseline
+exponential, computed at scale by a Lanczos approximation — summed across
+independent background realizations so that the persistent hidden structure
+outweighs background fluctuations.  A spectral modularity baseline
 is included for comparison.
 """
 

@@ -81,8 +81,8 @@ CONFIG_KEYS = {
     "top_k": ("int", False, None, "both"),
     "runs": ("int", True, None, "both"),
     "base_seed": ("int", False, 0, "both"),
-    "krylov_m": ("int", False, 30, "experiment"),
-    "krylov_tol": ("float", False, 1e-8, "experiment"),
+    "krylov_m": ("int", False, KrylovParams.m, "experiment"),
+    "krylov_tol": ("float", False, KrylovParams.tol, "experiment"),
     "r_dims": ("int", False, 10, "baseline"),
     "coeffs": ("str", False, None, "baseline"),
 }
@@ -175,8 +175,8 @@ def build_experiment_config(
         else:
             raise ConfigError(f"config error: key 'target': unknown target kind {target_kind!r}")
         krylov = KrylovParams(
-            m=values.get("krylov_m", 30),  # type: ignore[arg-type]
-            tol=values.get("krylov_tol", 1e-8),  # type: ignore[arg-type]
+            m=values.get("krylov_m", KrylovParams.m),  # type: ignore[arg-type]
+            tol=values.get("krylov_tol", KrylovParams.tol),  # type: ignore[arg-type]
         )
         return ExperimentConfig(
             background=background,
@@ -382,8 +382,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scores = sub.add_parser("scores", help="total-communicability scores of a graph file")
     p_scores.add_argument("--graph", required=True)
     p_scores.add_argument("--out", required=True)
-    p_scores.add_argument("--krylov-m", dest="krylov_m", type=int, default=30)
-    p_scores.add_argument("--tol", type=float, default=1e-8)
+    p_scores.add_argument("--krylov-m", dest="krylov_m", type=int, default=KrylovParams.m)
+    p_scores.add_argument("--tol", type=float, default=KrylovParams.tol)
     p_scores.add_argument("--top", type=int, default=20, help="order of the printed threshold")
     p_scores.set_defaults(func=_cmd_scores)
 

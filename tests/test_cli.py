@@ -8,9 +8,15 @@ import json
 import numpy as np
 import pytest
 
-from communifind import read_edge_list
+from communifind import (
+    KrylovParams,
+    expm_action,
+    read_edge_list,
+    total_communicability,
+)
 from communifind.cli import (
     ConfigError,
+    _coerce,
     build_experiment_config,
     main,
     parse_flat_config,
@@ -72,6 +78,11 @@ def test_build_config_round_trip():
     assert cfg.target.t == 20 and cfg.target.edge_count == 21
     assert cfg.num_backgrounds == 4 and cfg.runs == 3
     assert build_experiment_config(values, runs_override=9).runs == 9
+
+
+def test_config_without_krylov_keys_uses_krylov_defaults():
+    values = _coerce(parse_flat_config(EXPERIMENT_CONFIG), "experiment")
+    assert build_experiment_config(values).krylov == KrylovParams()
 
 
 def test_build_config_rejects_bad_target():
@@ -156,6 +167,22 @@ def test_scores_end_to_end(tmp_path, capsys):
     threshold = float(printed.split("=")[1])
     # the printed threshold is the 10th largest score in the CSV
     assert threshold == np.sort(scores)[150 - 10]
+
+
+def test_scores_default_budget_matches_library(tmp_path, capsys):
+    # a solve longer than 30 steps: the flag defaults must be the library's
+    graph_path = tmp_path / "sw.txt"
+    main(["generate", "--model", "sw", "--nodes", "2000", "--k", "100", "--beta", "0.02",
+          "--seed", "3", "--out", str(graph_path)])
+    scores_path = tmp_path / "scores.csv"
+    assert main(["scores", "--graph", str(graph_path), "--out", str(scores_path)]) == 0
+    capsys.readouterr()
+    with graph_path.open() as fh:
+        g = read_edge_list(fh)
+    assert expm_action(g, np.ones(g.n)).iterations > 30
+    rows = scores_path.read_text().splitlines()[1:]
+    scores = np.array([float(r.split(",")[1]) for r in rows])
+    assert np.array_equal(scores, total_communicability(g).scores)
 
 
 def test_scores_triangle_closed_form(tmp_path, capsys):

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.linalg.lapack
 import scipy.sparse
+import scipy.sparse.linalg
 
 from communifind import (
     Graph,
@@ -21,6 +23,7 @@ from communifind import (
     expm_dense_oracle,
     generate,
 )
+from communifind.expm import _relative_change
 from conftest import mixed_model_spec
 
 
@@ -92,26 +95,27 @@ def test_random_vector_agreement():
     assert rel <= 1e-8
 
 
-def test_restarted_cycles_match_oracle():
-    # m far below what one cycle needs forces several restarts
-    g = generate(GraphGenSpec(model="er", n=150, avg_degree=5.0, seed=3))
-    res = expm_action(g, np.ones(150), KrylovParams(m=5, tol=1e-9, max_restarts=10))
-    assert res.iterations > 5  # actually restarted
-    reference = expm_dense_oracle(g).sum(axis=1)
-    rel = np.linalg.norm(res.value - reference) / np.linalg.norm(reference)
-    assert rel <= 1e-6
+def test_long_solve_matches_expm_multiply():
+    # beyond 30 steps: one recurrence, no restart, under the default budget
+    g = generate(GraphGenSpec(model="sw", n=4096, k=100, beta=0.02, seed=3))
+    res = expm_action(g, np.ones(g.n))
+    assert res.converged
+    assert res.iterations > 30
+    a = scipy.sparse.csr_matrix((np.ones(g.indices.size), g.indices, g.indptr), shape=(g.n, g.n))
+    reference = scipy.sparse.linalg.expm_multiply(a, np.ones(g.n))
+    assert np.abs(res.value / reference - 1.0).max() <= 1e-7
 
 
 def test_unconverged_result_reports_honest_error():
     g = generate(GraphGenSpec(model="ba", n=400, m=8, seed=1))
-    res = expm_action(g, np.ones(400), KrylovParams(m=3, tol=1e-12, max_restarts=0))
+    res = expm_action(g, np.ones(400), KrylovParams(m=3, tol=1e-12))
     assert np.all(np.isfinite(res.value))
     assert res.est_error > 1e-12
 
 
 def test_est_error_within_tol_when_converged():
     g = generate(GraphGenSpec(model="sw", n=200, k=6, beta=0.1, seed=8))
-    params = KrylovParams(m=40, tol=1e-9, max_restarts=6)
+    params = KrylovParams(m=40, tol=1e-9)
     res = expm_action(g, np.ones(200), params)
     assert res.est_error <= params.tol
 
@@ -179,8 +183,6 @@ def test_params_validation():
         KrylovParams(m=1)
     with pytest.raises(ValueError):
         KrylovParams(tol=0.0)
-    with pytest.raises(ValueError):
-        KrylovParams(max_restarts=-1)
 
 
 # =====================================================================
@@ -202,6 +204,21 @@ def test_blocks_each_meet_tol():
     assert per_block.est_error <= params.tol
 
 
+def test_zero_block_converges_with_the_other():
+    # exp(A) 0 = 0 exactly: a block that stays zero must not hold the solve
+    # to its budget
+    g = generate(GraphGenSpec(model="er", n=200, avg_degree=4.0, seed=1))
+    lone = expm_action(g, np.ones(200))
+    res = expm_action(disjoint_union([g, g]), np.r_[np.ones(200), np.zeros(200)], blocks=2)
+    assert res.converged
+    assert res.iterations == lone.iterations
+    assert np.all(res.value[200:] == 0.0)
+    assert res.value[:200] == pytest.approx(lone.value, rel=1e-12)
+    # a block that has just become zero still counts as changed
+    assert _relative_change(np.r_[1.0, 0.0], np.r_[1.0, 0.0], 2) == 0.0
+    assert _relative_change(np.r_[1.0, 0.0], np.r_[1.0, 1.0], 2) == np.inf
+
+
 def test_blocks_must_divide_node_count():
     g = clique(6).to_graph()
     for blocks in (0, 4, 7):
@@ -219,7 +236,7 @@ def _sw2000() -> Graph:
 
 
 def test_exhausted_budget_reports_not_converged():
-    res = expm_action(_sw2000(), np.ones(2000), KrylovParams(m=4, max_restarts=1))
+    res = expm_action(_sw2000(), np.ones(2000), KrylovParams(m=8))
     assert not res.converged
     assert res.iterations == 8
     assert 1e-3 < res.est_error < 1e-2
@@ -257,13 +274,14 @@ def test_tridiagonal_eigensolver_failure_raises_breakdown(monkeypatch):
 
 
 # =====================================================================
-# Bit identity with the solver that forms the iterate at every step
+# Bit identity with the restarted solver that formed the iterate at every step
 # =====================================================================
 
 
 def _reference_expm_action(g, v, params, blocks=1):
     """Restarted Lanczos that forms and tests the length-n iterate at every
-    step, frozen as the solver stood before steps could skip it."""
+    step, frozen as the solver stood before steps could skip it and before
+    its cycles of ``m`` steps gave way to one recurrence."""
 
     def first_col(h, tridiagonal):
         if h.shape[0] == 1:
@@ -348,25 +366,20 @@ def _clique_path():
 
 
 @pytest.mark.parametrize(
-    "host, params",
-    [
-        (_er_stack, KrylovParams()),
-        (_sw_stack, KrylovParams()),
-        (_clique_path, KrylovParams(tol=1e-8)),
-        (lambda: (_sw2000(), 1), KrylovParams(m=4, max_restarts=8)),
-        (lambda: (_sw2000(), 1), KrylovParams(m=5, max_restarts=6)),
-        (lambda: (_sw2000(), 1), KrylovParams(m=8)),
-        (lambda: (_sw2000(), 1), KrylovParams(m=4, max_restarts=1)),
-        (lambda: (clique(20).to_graph(), 1), KrylovParams()),
-    ],
-    ids=["er-stack-4", "sw-stack-2", "clique-path", "restart-m4", "restart-m5", "restart-m8",
-         "budget-exhausted", "invariant-subspace"],
+    "host",
+    [_er_stack, _sw_stack, _clique_path, lambda: (clique(20).to_graph(), 1)],
+    ids=["er-stack-4", "sw-stack-2", "clique-path", "invariant-subspace"],
 )
-def test_bit_identical_to_reference_loop(host, params):
+def test_bit_identical_to_reference_loop(host):
+    # solves that stop within the reference's first 30-step cycle
     g, blocks = host()
     v = np.ones(g.n)
-    value, est_error, iterations = _reference_expm_action(g, v, params, blocks)
+    params = KrylovParams()
+    # the reference's budget: cycles of 30 steps, 4 restarts
+    frozen = SimpleNamespace(m=30, tol=params.tol, max_restarts=4)
+    value, est_error, iterations = _reference_expm_action(g, v, frozen, blocks)
     res = expm_action(g, v, params, blocks=blocks)
+    assert iterations < 30
     assert np.array_equal(res.value, value)
     assert res.est_error == est_error
     assert res.iterations == iterations
