@@ -18,6 +18,7 @@ from .communicability import (
 )
 from .expm import (
     ExpmResult,
+    KrylovNotConvergedError,
     KrylovParams,
     NumericalBreakdownError,
     expm_action,
@@ -78,6 +79,7 @@ __all__ = [
     "FilterCoeffs",
     "Graph",
     "GraphGenSpec",
+    "KrylovNotConvergedError",
     "KrylovParams",
     "ModularityMatrix",
     "NumericalBreakdownError",

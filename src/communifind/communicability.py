@@ -19,7 +19,7 @@ from typing import Literal, Sequence, TextIO
 
 import numpy as np
 
-from .expm import KrylovParams, expm_action, expm_dense_oracle
+from .expm import ExpmResult, KrylovNotConvergedError, KrylovParams, expm_action, expm_dense_oracle
 from .graphs import Graph, disjoint_union
 
 __all__ = [
@@ -84,10 +84,21 @@ def subgraph_centrality(g: Graph) -> ScoreVector:
     return ScoreVector(scores=diag, kind="sc", num_backgrounds=1)
 
 
+def _converged(result: ExpmResult, params: KrylovParams) -> np.ndarray:
+    """The solve's value, or :class:`KrylovNotConvergedError` if it missed ``tol``."""
+    if not result.converged:
+        raise KrylovNotConvergedError(result.est_error, params.tol, result.iterations)
+    return result.value
+
+
 def total_communicability(g: Graph, params: KrylovParams = KrylovParams()) -> ScoreVector:
-    """Row sums of exp(A), i.e. the Krylov action of exp(A) on the all-ones vector."""
-    result = expm_action(g, np.ones(g.n), params)
-    return ScoreVector(scores=result.value, kind="tc", num_backgrounds=1)
+    """Row sums of exp(A), i.e. the Krylov action of exp(A) on the all-ones vector.
+
+    Raises :class:`~communifind.expm.KrylovNotConvergedError` when the solve
+    does not meet ``params.tol`` within ``params.m`` steps.
+    """
+    value = _converged(expm_action(g, np.ones(g.n), params), params)
+    return ScoreVector(scores=value, kind="tc", num_backgrounds=1)
 
 
 def summed_total_communicability(
@@ -102,7 +113,8 @@ def summed_total_communicability(
     as in its own solve.  Rounding in the shared projection is relative to
     the largest block, so the graphs should have comparable spectra, as
     realizations of one random-graph model do.  The blocks are summed in
-    graph order.
+    graph order.  Raises :class:`~communifind.expm.KrylovNotConvergedError`
+    when some block does not meet ``params.tol`` within ``params.m`` steps.
     """
     if len(graphs) == 0:
         raise ValueError("summed_total_communicability needs at least one graph")
@@ -110,7 +122,7 @@ def summed_total_communicability(
     if any(g.n != n for g in graphs):
         raise ValueError("all graphs must have the same node count")
     result = expm_action(disjoint_union(graphs), np.ones(n * len(graphs)), params, blocks=len(graphs))
-    scores = result.value.reshape(len(graphs), n).sum(axis=0)
+    scores = _converged(result, params).reshape(len(graphs), n).sum(axis=0)
     return ScoreVector(scores=scores, kind="tc_sum", num_backgrounds=len(graphs))
 
 

@@ -1,21 +1,23 @@
 """Action of the adjacency-matrix exponential on a vector.
 
-The workhorse is :func:`expm_action`, a symmetric Lanczos approximation of
-``exp(A) v`` with full reorthogonalization: one recurrence of at most ``m``
-steps, which holds one length-n basis vector per step taken.
+The workhorse is :func:`expm_action`, a plain symmetric Lanczos approximation
+of ``exp(A) v``: one three-term recurrence of at most ``m`` steps, without
+reorthogonalization (its docstring says why that is accurate).  It holds one
+length-n basis vector per step taken, used only to form the iterate.
 :func:`expm_dense_oracle` is the independent dense reference used to validate
 it.
 
-The basis is orthonormal, so the change between successive iterates is
-``beta0 * ||y_s - [y_{s-1}; 0]||`` for the projected vectors, and
-``||x_s|| = beta0 * ||y_s||``.  Their ratio is, up to rounding, the relative
-change of the whole iterate, which in turn is at most the largest change of
-a block.  While it is above ``2 * tol`` no stopping test can pass, so the
-length-n iterate is not formed: a step keeps only its small projected
-vector.  The iterate (and, lazily, the previous one) is formed with the same
-expressions whenever the ratio falls below, at the last step of the budget,
-or on an invariant subspace, so the stopping step and the result are the
-same as when every iterate is formed.
+Every basis vector has unit norm.  Were the basis orthonormal, the change
+between successive iterates would be ``beta0 * ||y_s - [y_{s-1}; 0]||`` for
+the projected vectors, and ``||x_s||`` would be ``beta0 * ||y_s||``.  Their
+ratio estimates the relative change of the whole iterate, which in turn is
+at most the largest change of a block.  While it is above ``2 * tol``, a step
+keeps only its small projected vector and does not form the length-n
+iterate.  The iterate (and, lazily, the previous one) is formed with the
+same expressions whenever the ratio falls below, at the last step of the
+budget, or on an invariant subspace.  Only a formed iterate is tested, so
+the screen can delay a stop but never cause one; the tests check that it
+delays none on the headline solves.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "KrylovParams",
     "ExpmResult",
     "NumericalBreakdownError",
+    "KrylovNotConvergedError",
     "expm_action",
     "expm_dense_oracle",
 ]
@@ -42,14 +45,36 @@ _ORACLE_MAX_NODES = 512
 # rounding of forming the iterates, which matters only for tol near eps.
 _SCREEN_SLACK = 1e-12
 # Rows of the first basis block, doubled whenever a solve outgrows it: every
-# headline solve fits, and for a 4096-node stack the block stays under 2 MB,
-# below a transparent huge page, so a short solve touches only its rows.
+# headline solve fits, and for an 8192-node stack the block is 2 MB, below
+# the 4 MB from which numpy advises huge pages, so a short solve touches only
+# its rows.
 _BASIS_ROWS = 32
 
 
 class NumericalBreakdownError(ArithmeticError):
     """A Krylov solve failed: a non-finite quantity appeared during the
     recurrence, or an eigensolver did not converge."""
+
+
+class KrylovNotConvergedError(NumericalBreakdownError):
+    """A Krylov solve used its whole step budget without meeting ``tol``.
+
+    Raised by the scoring functions, not by :func:`expm_action`, which
+    returns such a result with ``converged=False``.
+    """
+
+    def __init__(self, est_error: float, tol: float, iterations: int) -> None:
+        # the fields are the args, so the error pickles back from a worker
+        super().__init__(est_error, tol, iterations)
+        self.est_error = est_error
+        self.tol = tol
+        self.iterations = iterations
+
+    def __str__(self) -> str:
+        return (
+            f"Krylov solve did not converge in {self.iterations} steps: "
+            f"est_error={self.est_error:.3g} > tol={self.tol:.3g}"
+        )
 
 
 @dataclass(frozen=True)
@@ -120,6 +145,15 @@ def expm_action(
 ) -> ExpmResult:
     """Approximate ``exp(A) v`` for the adjacency matrix A of ``g``.
 
+    Plain Lanczos: the three-term recurrence without reorthogonalization,
+    which is accurate for ``f(A) v`` although the basis loses orthogonality
+    in floating point (Druskin, Greenbaum & Knizhnerman, "Using nonorthogonal
+    Lanczos vectors in the computation of matrix functions", SIAM J. Sci.
+    Comput. 1998; Musco, Musco & Sidford, "Stability of the Lanczos method
+    for matrix function approximation", SODA 2018).  A step costs one sparse
+    product, a few length-n vector operations and the eigendecomposition of
+    the small tridiagonal matrix.
+
     Parameters
     ----------
     g : Graph
@@ -184,9 +218,6 @@ def expm_action(
         w -= alpha * v_cur
         if s > 1:
             w -= betas[s - 2] * basis[s - 2]
-        # full reorthogonalization against the basis (two passes)
-        for _ in range(2):
-            w -= basis[:s].T @ (basis[:s] @ w)
         if not np.isfinite(alpha):
             raise NumericalBreakdownError("non-finite Lanczos coefficient")
         alphas[s - 1] = alpha
@@ -195,10 +226,13 @@ def expm_action(
         if not np.isfinite(beta):
             raise NumericalBreakdownError("non-finite Lanczos coefficient")
         exact = beta <= 1e-12 * max(1.0, abs(alpha))
-        # screen: step / upper is the relative change of the whole iterate,
-        # a lower bound on that of every block, and upper bounds every |x_i|,
-        # so below 1e300 a skipped x is finite; comparisons with inf or nan
-        # are False, so a non-finite y forms x and raises
+        # screen: step / upper estimates the relative change of the whole
+        # iterate, at most the largest relative change of a block.  Basis
+        # vectors have unit norm, so |x_i| <= beta0 * ||y||_1 <= sqrt(s) * upper
+        # whether or not they are orthogonal, and below 1e300 a skipped x is
+        # finite (sqrt(m) * 1e300 < 1.8e308 for any m below 1e16).
+        # Comparisons with inf or nan are False, so a non-finite y forms x
+        # and raises
         dy = y[:-1] - y_prev
         step = beta0 * math.sqrt(dy.dot(dy) + y[-1] ** 2)
         upper = beta0 * math.sqrt(y.dot(y))

@@ -55,11 +55,12 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _EMBED_STREAM = 0
 _BACKGROUND_STREAM = 1
 # A run scores its backgrounds in stacks of up to this many nodes, one Krylov
-# solve per stack.  On small graphs a solve's time goes to per-step overhead
-# and, under threads, to hand-offs of the interpreter lock around its many
-# small array operations; stacking shares both across the stack, and the cap
-# bounds the memory of a solve.  Larger graphs are scored one at a time.
-_STACK_NODES = 4096
+# solve per stack: eight backgrounds at n=1024.  A step costs one sparse
+# product plus a fixed overhead (the tridiagonal eigensolver and the Python
+# of the loop), which stacking shares across the stack; the cap bounds the
+# memory of a solve.  Stacks of 10 and 20 backgrounds measured within a few
+# percent of 8.  Larger graphs are scored one at a time.
+_STACK_NODES = 8192
 
 # The worker processes of run batches at jobs > 1 (see _map_runs): kept
 # alive across calls, because starting a pool costs far more than handing

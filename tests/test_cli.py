@@ -185,6 +185,20 @@ def test_scores_default_budget_matches_library(tmp_path, capsys):
     assert np.array_equal(scores, total_communicability(g).scores)
 
 
+def test_scores_unconverged_exits_1(tmp_path, capsys):
+    # the solve needs 27 steps, so a budget of 8 leaves it unconverged
+    graph_path = tmp_path / "sw.txt"
+    main(["generate", "--model", "sw", "--nodes", "2000", "--k", "40", "--beta", "0.1",
+          "--seed", "1", "--out", str(graph_path)])
+    capsys.readouterr()
+    scores_path = tmp_path / "scores.csv"
+    rc = main(["scores", "--graph", str(graph_path), "--out", str(scores_path), "--krylov-m", "8"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "did not converge" in err and "est_error" in err and "tol" in err
+    assert not scores_path.exists()
+
+
 def test_scores_triangle_closed_form(tmp_path, capsys):
     graph_path = tmp_path / "k3.txt"
     graph_path.write_text("0 1\n0 2\n1 2\n")
@@ -298,6 +312,17 @@ def test_jobs_below_one_is_usage_error(tmp_path, capsys, command):
     assert rc == 2
     assert "jobs" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_experiment_unconverged_exits_1(tmp_path, capsys, jobs):
+    text = "model = sw\nnodes = 2000\nk = 40\ntarget = sparse\nnum_backgrounds = 1\nruns = 2\nkrylov_m = 8\n"
+    cfg = _write_config(tmp_path, text)
+    out_dir = tmp_path / "out"
+    rc = main(["experiment", str(cfg), "--out-dir", str(out_dir), "--jobs", jobs])
+    assert rc == 1
+    assert "did not converge" in capsys.readouterr().err
+    assert not (out_dir / "exp.communicability.json").exists()
 
 
 def test_experiment_missing_config(tmp_path, capsys):

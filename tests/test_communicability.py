@@ -11,7 +11,9 @@ import pytest
 from communifind import (
     Graph,
     GraphGenSpec,
+    KrylovNotConvergedError,
     KrylovParams,
+    NumericalBreakdownError,
     ScoreVector,
     accumulate,
     clique,
@@ -159,6 +161,23 @@ def test_summed_scores_single_graph_and_rejections():
         summed_total_communicability([])
     with pytest.raises(ValueError):
         summed_total_communicability([g, clique(5).to_graph()])
+
+
+@pytest.mark.parametrize("graphs", [1, 2])
+def test_unconverged_solves_raise(graphs):
+    # expm_action returns the unconverged result; the scores refuse it
+    g = generate(GraphGenSpec(model="sw", n=2000, k=40, beta=0.1, seed=1))
+    params = KrylovParams(m=8)
+    res = expm_action(disjoint_union([g] * graphs), np.ones(graphs * g.n), params, blocks=graphs)
+    assert not res.converged
+    with pytest.raises(KrylovNotConvergedError) as caught:
+        if graphs == 1:
+            total_communicability(g, params)
+        else:
+            summed_total_communicability([g] * graphs, params)
+    assert isinstance(caught.value, NumericalBreakdownError)
+    assert (caught.value.est_error, caught.value.tol, caught.value.iterations) == (res.est_error, params.tol, 8)
+    assert "est_error" in str(caught.value) and "tol" in str(caught.value)
 
 
 def test_accumulate_sums_entrywise():

@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.linalg
@@ -17,12 +15,15 @@ from communifind import (
     GraphGenSpec,
     KrylovParams,
     NumericalBreakdownError,
+    ScoreVector,
     clique,
     disjoint_union,
     expm_action,
     expm_dense_oracle,
     generate,
+    top_k,
 )
+from communifind import expm
 from communifind.expm import _relative_change
 from conftest import mixed_model_spec
 
@@ -274,84 +275,14 @@ def test_tridiagonal_eigensolver_failure_raises_breakdown(monkeypatch):
 
 
 # =====================================================================
-# Bit identity with the restarted solver that formed the iterate at every step
+# Accuracy of the recurrence without reorthogonalization
 # =====================================================================
-
-
-def _reference_expm_action(g, v, params, blocks=1):
-    """Restarted Lanczos that forms and tests the length-n iterate at every
-    step, frozen as the solver stood before steps could skip it and before
-    its cycles of ``m`` steps gave way to one recurrence."""
-
-    def first_col(h, tridiagonal):
-        if h.shape[0] == 1:
-            return np.exp(h[0, :1]).copy()
-        if tridiagonal:
-            w, q = scipy.linalg.eigh_tridiagonal(np.diag(h).copy(), np.diag(h, -1).copy())
-            return q @ (np.exp(w) * q[0, :])
-        return np.ascontiguousarray(scipy.linalg.expm(h)[:, 0])
-
-    def relative_change(x, x_prev):
-        change = np.linalg.norm((x - x_prev).reshape(blocks, -1), axis=1)
-        size = np.linalg.norm(x.reshape(blocks, -1), axis=1)
-        if np.any(size == 0.0):
-            return np.inf
-        return float(np.max(change / size))
-
-    n = g.n
-    v = np.asarray(v, dtype=np.float64)
-    beta0 = float(np.linalg.norm(v))
-    a = scipy.sparse.csr_matrix((np.ones(g.indices.size), g.indices, g.indptr), shape=(n, n))
-    cap = params.m * (params.max_restarts + 1)
-    h = np.zeros((cap, cap))
-    x_base = np.zeros(n)
-    x_prev = None
-    diff = np.inf
-    v_cur = v / beta0
-    connector = 0.0
-    s = 0
-    for cycle in range(params.max_restarts + 1):
-        basis = np.empty((params.m, n))
-        cycle_start = s
-        if cycle:
-            h[cycle_start, cycle_start - 1] = connector
-        jloc = 0
-        y = np.empty(0)
-        for _j in range(params.m):
-            basis[jloc] = v_cur
-            jloc += 1
-            w = a @ v_cur
-            alpha = float(v_cur @ w)
-            w -= alpha * v_cur
-            if jloc > 1:
-                w -= h[s, s - 1] * basis[jloc - 2]
-            for _ in range(2):
-                w -= basis[:jloc].T @ (basis[:jloc] @ w)
-            h[s, s] = alpha
-            s += 1
-            y = first_col(h[:s, :s], cycle == 0)
-            x = x_base + beta0 * (basis[:jloc].T @ y[cycle_start:s])
-            if x_prev is not None:
-                diff = relative_change(x, x_prev)
-            x_prev = x
-            beta = float(np.linalg.norm(w))
-            if beta <= 1e-12 * max(1.0, abs(alpha)):
-                return x, 0.0, s
-            if diff <= params.tol:
-                return x, diff, s
-            if jloc < params.m:
-                h[s - 1, s] = beta
-                h[s, s - 1] = beta
-            v_cur = w / beta
-        x_base = x_base + beta0 * (basis.T @ y[cycle_start:s])
-        connector = beta
-    return x_prev, diff, s
 
 
 def _er_stack():
     return disjoint_union(
-        [generate(GraphGenSpec(model="er", n=1024, avg_degree=2.0, seed=40 + b)) for b in range(4)]
-    ), 4
+        [generate(GraphGenSpec(model="er", n=1024, avg_degree=2.0, seed=40 + b)) for b in range(8)]
+    ), 8
 
 
 def _sw_stack():
@@ -360,26 +291,74 @@ def _sw_stack():
     ), 2
 
 
-def _clique_path():
-    path = Graph.from_pairs(40, [(i, i + 1) for i in range(39)])
-    return disjoint_union([clique(12).to_graph(), path]), 2
+def _er_dense():
+    return generate(GraphGenSpec(model="er", n=1024, avg_degree=39.0, seed=60)), 1
 
 
-@pytest.mark.parametrize(
-    "host",
-    [_er_stack, _sw_stack, _clique_path, lambda: (clique(20).to_graph(), 1)],
-    ids=["er-stack-4", "sw-stack-2", "clique-path", "invariant-subspace"],
-)
-def test_bit_identical_to_reference_loop(host):
-    # solves that stop within the reference's first 30-step cycle
+def _ba():
+    return generate(GraphGenSpec(model="ba", n=1024, m=10, seed=70)), 1
+
+
+# the headline solves, with the steps they took under full reorthogonalization
+_HEADLINE = [(_er_stack, 15), (_sw_stack, 26), (_er_dense, 12), (_ba, 13)]
+_HEADLINE_IDS = ["er-stack-8", "sw-stack-2", "er-avg-39", "ba-m-10"]
+
+
+def _block_errors(value: np.ndarray, reference: np.ndarray, blocks: int) -> np.ndarray:
+    diff = np.linalg.norm((value - reference).reshape(blocks, -1), axis=1)
+    return diff / np.linalg.norm(reference.reshape(blocks, -1), axis=1)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+def test_meets_tol_against_dense_oracle(tol):
+    # small mixed graphs, and a stack of four whose third block is weak
+    params = KrylovParams(tol=tol)
+    for index in range(0, 60, 7):
+        g = generate(mixed_model_spec(index, max_n=512))
+        reference = expm_dense_oracle(g).sum(axis=1)
+        res = expm_action(g, np.ones(g.n), params)
+        assert res.converged
+        assert _block_errors(res.value, reference, 1).max() <= tol
+    stack = disjoint_union(
+        [generate(GraphGenSpec(model="er", n=128, avg_degree=a, seed=s)) for s, a in enumerate((2.0, 2.0, 0.5, 4.0))]
+    )
+    res = expm_action(stack, np.ones(512), params, blocks=4)
+    assert res.converged
+    assert _block_errors(res.value, expm_dense_oracle(stack).sum(axis=1), 4).max() <= tol
+
+
+@pytest.mark.parametrize("host, steps", _HEADLINE, ids=_HEADLINE_IDS)
+def test_headline_solves_match_expm_multiply(host, steps):
     g, blocks = host()
-    v = np.ones(g.n)
     params = KrylovParams()
-    # the reference's budget: cycles of 30 steps, 4 restarts
-    frozen = SimpleNamespace(m=30, tol=params.tol, max_restarts=4)
-    value, est_error, iterations = _reference_expm_action(g, v, frozen, blocks)
-    res = expm_action(g, v, params, blocks=blocks)
-    assert iterations < 30
-    assert np.array_equal(res.value, value)
-    assert res.est_error == est_error
-    assert res.iterations == iterations
+    res = expm_action(g, np.ones(g.n), params, blocks=blocks)
+    assert res.converged
+    assert res.iterations <= steps
+    a = scipy.sparse.csr_matrix((np.ones(g.indices.size), g.indices, g.indptr), shape=(g.n, g.n))
+    reference = scipy.sparse.linalg.expm_multiply(a, np.ones(g.n))
+    assert _block_errors(res.value, reference, blocks).max() <= params.tol
+    summed = res.value.reshape(blocks, -1).sum(axis=0)
+    want = reference.reshape(blocks, -1).sum(axis=0)
+    assert np.array_equal(top_k(ScoreVector(summed, "tc_sum", blocks), 20), top_k(ScoreVector(want, "tc_sum", blocks), 20))
+
+
+@pytest.mark.parametrize("host, steps", _HEADLINE, ids=_HEADLINE_IDS)
+def test_screen_does_not_delay_the_stop(host, steps, monkeypatch):
+    # with an infinite slack the screen never skips a step, so every iterate
+    # is formed and tested: the stopping step and the bits must not change
+    g, blocks = host()
+    screened = expm_action(g, np.ones(g.n), blocks=blocks)
+    monkeypatch.setattr(expm, "_SCREEN_SLACK", np.inf)
+    every = expm_action(g, np.ones(g.n), blocks=blocks)
+    assert every.iterations == screened.iterations
+    assert np.array_equal(every.value, screened.value)
+    assert every.est_error == screened.est_error
+
+
+def test_values_bit_identical_across_calls():
+    # a second build of the same stack, so no state is shared between calls
+    (g, blocks), (h, _) = _sw_stack(), _sw_stack()
+    first = expm_action(g, np.ones(g.n), blocks=blocks)
+    again = expm_action(h, np.ones(h.n), blocks=blocks)
+    assert np.array_equal(first.value, again.value)
+    assert (first.est_error, first.iterations) == (again.est_error, again.iterations)

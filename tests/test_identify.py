@@ -13,20 +13,25 @@ from communifind import (
     ExperimentConfig,
     Graph,
     GraphGenSpec,
+    KrylovNotConvergedError,
+    KrylovParams,
     NumericalBreakdownError,
     ScoreVector,
     TargetSpec,
     apply_embedding,
     canonical_sparse_target,
     clique,
+    disjoint_union,
     draw_embedding,
     embed,
+    expm_action,
     generate,
     identification_rate,
     run_baseline,
     run_pipeline,
     summarize_rates,
     top_k,
+    total_communicability,
 )
 from communifind import identify
 from communifind.identify import background_seed, embedding_seed
@@ -297,6 +302,17 @@ def test_worker_pool_reraises_run_errors():
     assert _same_runs(run_pipeline(_small_cfg(), jobs=2), run_pipeline(_small_cfg()))
 
 
+def test_unconverged_run_raises_at_any_jobs():
+    # three steps cannot meet tol on these hosts; the error and its fields
+    # come back from a worker process as well
+    cfg = _small_cfg(runs=2, krylov=KrylovParams(m=3))
+    for jobs in (1, 2):
+        with pytest.raises(KrylovNotConvergedError) as caught:
+            run_pipeline(cfg, jobs=jobs)
+        assert caught.value.tol == cfg.krylov.tol and caught.value.iterations == 3
+        assert caught.value.est_error > cfg.krylov.tol
+
+
 def test_stacked_scoring_matches_one_solve_per_background(monkeypatch):
     # stacking backgrounds into shared Krylov solves must not change what a
     # run identifies; a stack of n nodes means one background per solve
@@ -311,10 +327,32 @@ def test_stacked_scoring_matches_one_solve_per_background(monkeypatch):
         assert np.array_equal(a.candidates, c.candidates)
 
 
+def test_eight_backgrounds_share_one_solve():
+    # a run at n=1024 scores eight hosts per solve, here with a weak fourth
+    # block (mean degree 0.5); every block must meet tol as in its own solve
+    assert identify._STACK_NODES // 1024 == 8
+    target = canonical_sparse_target(0)
+    embedding = draw_embedding(1024, target.t, 5)
+    hosts = [
+        apply_embedding(generate(GraphGenSpec(model="er", n=1024, avg_degree=avg, seed=90 + b)), target, embedding)
+        for b, avg in enumerate((2.0, 2.0, 2.0, 0.5, 2.0, 2.0, 2.0, 2.0))
+    ]
+    params = KrylovParams()
+    stacked = expm_action(disjoint_union(hosts), np.ones(8 * 1024), params, blocks=8)
+    assert stacked.converged
+    for host, block in zip(hosts, stacked.value.reshape(8, 1024)):
+        own = expm_action(host, np.ones(1024), params).value
+        assert np.linalg.norm(block - own) / np.linalg.norm(own) <= params.tol
+    summed = identify._summed_scores(iter(hosts), 1024, params)
+    one_per_solve = ScoreVector(sum(total_communicability(h, params).scores for h in hosts), "tc_sum", 8)
+    assert np.array_equal(top_k(summed, 20), top_k(one_per_solve, 20))
+
+
 # Runs 0-2 of one pipeline and one baseline config at jobs=1, frozen from the
-# two-driver code.  The pipeline config scores 3 backgrounds of 2048 nodes in
-# stacks of 2 and 1, and neither method recovers every target node, so the
-# pins cover seeds, stack order and selection.
+# two-driver code.  The pipeline config scores 3 backgrounds of 2048 nodes,
+# frozen in stacks of 2 and 1 and now scored in one stack of 3, and neither
+# method recovers every target node, so the pins cover seeds, stack order
+# and selection.
 _GOLDEN_PIPELINE = (
     (
         [1035, 555, 1968, 2020, 1468, 2005, 916, 486, 497, 2019, 641, 236, 1398, 2015, 107, 1884, 1731, 1496, 1302, 670],
