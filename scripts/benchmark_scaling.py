@@ -3,9 +3,12 @@
 
 At each node count, times the generation of one background per model at the
 given mean degree (ER avg_degree, BA m = avg/2, SW k = avg rounded to even),
-then times the Krylov row-sum scoring of the ER graph (best of a few
-repetitions), reports its Lanczos steps (``ExpmResult.iterations``) and the
-microseconds per step, and fits a log-log power law to the scoring times.
+then times the Krylov row-sum scoring of the ER graph, reports its Lanczos
+steps (``ExpmResult.iterations``) and the microseconds per step, and fits a
+log-log power law to the scoring times.  Every time is the median of
+``--repeats`` calls followed by the spread between their first and third
+quartiles (``median±IQR``), so a difference smaller than the spread is
+within the noise of the machine.
 
 Usage:
     python scripts/benchmark_scaling.py [--sizes 1000,10000,100000] [--repeats 3]
@@ -37,7 +40,7 @@ def main(argv=None) -> int:
     repeats = max(1, args.repeats)
     seconds = []
     print(
-        f"{'n':>8} {'edges':>9} {'er gen':>9} {'ba gen':>9} {'sw gen':>9} {'score secs':>11} "
+        f"{'n':>8} {'edges':>9} {'er gen':>15} {'ba gen':>15} {'sw gen':>15} {'score secs':>15} "
         f"{'steps':>6} {'µs/step':>8}"
     )
     for n in sizes:
@@ -46,19 +49,28 @@ def main(argv=None) -> int:
             "ba": GraphGenSpec(model="ba", n=n, m=m, seed=args.seed),
             "sw": GraphGenSpec(model="sw", n=n, k=k, seed=args.seed),
         }
-        gen_secs = {name: min(_timed(generate, spec)[0] for _ in range(repeats)) for name, spec in specs.items()}
+        gen_secs = {name: [_timed(generate, spec)[0] for _ in range(repeats)] for name, spec in specs.items()}
         g = generate(specs["er"])
-        best, result = min((_timed(expm_action, g, np.ones(n)) for _ in range(repeats)), key=lambda t: t[0])
-        seconds.append(best)
+        timed = [_timed(expm_action, g, np.ones(n)) for _ in range(repeats)]
+        score_secs = [t for t, _ in timed]
+        steps = timed[0][1].iterations
+        median = float(np.median(score_secs))
+        seconds.append(median)
         print(
-            f"{n:>8} {g.edge_count:>9} {gen_secs['er']:>9.4f} {gen_secs['ba']:>9.4f} "
-            f"{gen_secs['sw']:>9.4f} {best:>11.4f} {result.iterations:>6} {1e6 * best / result.iterations:>8.1f}"
+            f"{n:>8} {g.edge_count:>9} {_spread(gen_secs['er'])} {_spread(gen_secs['ba'])} "
+            f"{_spread(gen_secs['sw'])} {_spread(score_secs)} {steps:>6} {1e6 * median / steps:>8.1f}"
         )
 
     if len(sizes) >= 2:
         exponent = float(np.polyfit(np.log(sizes), np.log(seconds), 1)[0])
         print(f"fitted power-law exponent: {exponent:.3f}")
     return 0
+
+
+def _spread(secs):
+    """``median±IQR`` of repeated timings, 15 characters wide."""
+    q1, median, q3 = np.percentile(secs, [25, 50, 75])
+    return f"{median:>8.4f}±{q3 - q1:<6.4f}"
 
 
 def _timed(fn, *args):

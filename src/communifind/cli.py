@@ -341,6 +341,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_scores(args: argparse.Namespace) -> int:
+    if args.top < 1:
+        raise ValueError(f"--top must be >= 1, got {args.top}")
     try:
         with open(args.graph) as fh:
             g = read_edge_list(fh)

@@ -2,11 +2,13 @@
 
 One experiment run draws a single random embedding of the target, overlays
 it on ``num_backgrounds`` independently generated background graphs, sums
-the per-node total-communicability scores across those realizations, and
-selects the top-k nodes.  The identification rate is the fraction of target
-nodes recovered.  Seeds are derived deterministically from the base seed and
-the run index, so results are reproducible and independent of how runs are
-scheduled across worker processes.
+the per-node total-communicability scores across those realizations with
+:func:`~communifind.communicability.summed_total_communicability`, which
+takes the hosts as they are built, and selects the top-k nodes.  The
+identification rate is the fraction of target nodes recovered.  Seeds are
+derived deterministically from the base seed and the run index, so results
+are reproducible and independent of how runs are scheduled across worker
+processes.
 
 One driver, :func:`_run`, executes a run of either method: the pipeline
 here and the modularity baseline pass their own score and select steps.
@@ -17,7 +19,6 @@ from __future__ import annotations
 import atexit
 import dataclasses
 import functools
-import itertools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -54,13 +55,6 @@ __all__ = [
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _EMBED_STREAM = 0
 _BACKGROUND_STREAM = 1
-# A run scores its backgrounds in stacks of up to this many nodes, one Krylov
-# solve per stack: eight backgrounds at n=1024.  A step costs one sparse
-# product plus a fixed overhead (the tridiagonal eigensolver and the Python
-# of the loop), which stacking shares across the stack; the cap bounds the
-# memory of a solve.  Stacks of 10 and 20 backgrounds measured within a few
-# percent of 8.  Larger graphs are scored one at a time.
-_STACK_NODES = 8192
 
 # The worker processes of run batches at jobs > 1 (see _map_runs): kept
 # alive across calls, because starting a pool costs far more than handing
@@ -121,7 +115,7 @@ def apply_embedding(background: Graph, target: TargetSpec, embedding: Embedding)
         raise ValueError("embedding size does not match target size")
     if embedding.map.size and int(embedding.map.max()) >= background.n:
         raise ValueError("embedding maps outside the background graph")
-    tedges = np.asarray(target.edges, dtype=np.int64)
+    tedges = np.asarray(target.edges, dtype=np.int64).reshape(-1, 2)
     mapped_u = embedding.map[tedges[:, 0]]
     mapped_v = embedding.map[tedges[:, 1]]
     codes = np.minimum(mapped_u, mapped_v) * np.int64(background.n) + np.maximum(mapped_u, mapped_v)
@@ -140,24 +134,13 @@ def embed(background: Graph, target: TargetSpec, seed: int) -> tuple[Graph, Embe
 
 
 def top_k(scores: ScoreVector, k: int) -> np.ndarray:
-    """Ids of the k highest-scoring nodes, ties broken by ascending node id.
-
-    Selection is a partial introselect (no full sort): the k-th largest value
-    is located first, then the tie boundary is resolved explicitly so the
-    result always equals the first k ids of a stable sort by
-    (score descending, id ascending).  Returned sorted ascending.
-    """
+    """Ids of the k highest-scoring nodes, ties broken by ascending node id:
+    the first k ids of a stable sort by (score descending, id ascending),
+    returned sorted ascending."""
     s = scores.scores
-    n = s.size
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
-    if k == n:
-        return np.arange(n, dtype=np.int64)
-    cut = np.argpartition(s, n - k)[n - k :]
-    threshold = s[cut].min()
-    above = np.flatnonzero(s > threshold)
-    at = np.flatnonzero(s == threshold)[: k - above.size]
-    return np.sort(np.concatenate([above, at])).astype(np.int64)
+    if not 1 <= k <= s.size:
+        raise ValueError(f"k must lie in [1, {s.size}], got {k}")
+    return np.sort(np.argsort(-s, kind="stable")[:k])
 
 
 def identification_rate(candidates: np.ndarray, embedding: Embedding) -> float:
@@ -292,18 +275,6 @@ def _run(
     return RunResult(embedding=embedding, candidates=candidates, hits=hits, rate=rate, seconds=times)
 
 
-def _summed_scores(hosts: Iterator[Graph], n: int, krylov: KrylovParams) -> ScoreVector:
-    """Summed total communicability of the hosts, one Krylov solve per stack
-    of up to ``_STACK_NODES`` nodes, stacks summed in host order."""
-    stack = max(1, _STACK_NODES // n)
-    scores = np.zeros(n)
-    count = 0
-    while chunk := list(itertools.islice(hosts, stack)):
-        scores += summed_total_communicability(chunk, krylov).scores
-        count += len(chunk)
-    return ScoreVector(scores=scores, kind="tc_sum", num_backgrounds=count)
-
-
 def _pool_map(run: Callable[[int], object], runs: int, workers: int) -> list:
     """``[run(i) for i in range(runs)]`` on the shared pool of ``workers`` processes."""
     global _pool, _pool_workers
@@ -357,10 +328,10 @@ def _map_runs(
     workers would first import numpy and scipy, and the executor forks all
     its workers before it starts its own thread.  Forked workers keep the
     module state of the moment the pool was created: a later change to a
-    module global, such as a test patching ``_STACK_NODES``, does not reach
-    them, so such tests run at ``jobs=1``.  Where the default is spawn or
-    forkserver, a script that calls this with ``jobs > 1`` needs an
-    ``if __name__ == "__main__":`` guard.
+    module global, such as a test patching ``communicability._STACK_NODES``,
+    does not reach them, so such tests run at ``jobs=1``.  Where the default
+    is spawn or forkserver, a script that calls this with ``jobs > 1`` needs
+    an ``if __name__ == "__main__":`` guard.
     """
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
@@ -380,7 +351,7 @@ def run_pipeline(cfg: ExperimentConfig, *, jobs: int = 1) -> list[RunResult]:
     return _map_runs(
         cfg,
         jobs,
-        score=functools.partial(_summed_scores, n=cfg.background.n, krylov=cfg.krylov),
+        score=functools.partial(summed_total_communicability, params=cfg.krylov),
         select=functools.partial(top_k, k=cfg.effective_k),
     )
 

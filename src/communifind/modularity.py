@@ -48,17 +48,15 @@ class ModularityMatrix:
     """Modularity matrix B = S - D diag(w) D^T, held as its sparse and low-rank parts.
 
     ``adjacency`` is the (blended) sparse adjacency S, ``degree_cols`` the
-    n x N matrix D of the degree vectors it was built from, ``weights`` their
-    weights w (1/(2E) for one graph) and ``degrees`` the blended degree
-    vector.  B is never formed: ``b @ x`` costs one sparse product and two
-    products with the N columns of D.
+    n x N matrix D of the degree vectors it was built from and ``weights``
+    their weights w (1/(2E) for one graph).  B is never formed: ``b @ x``
+    costs one sparse product and two products with the N columns of D.
     """
 
     n: int
     adjacency: scipy.sparse.csr_matrix
     degree_cols: np.ndarray
     weights: np.ndarray
-    degrees: np.ndarray
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """B x for a length-n vector x."""
@@ -114,7 +112,6 @@ def modularity_matrix(g: Graph) -> ModularityMatrix:
         adjacency=_adjacency_csr(g),
         degree_cols=d[:, None],
         weights=np.array([1.0 / (2.0 * g.edge_count)]),
-        degrees=d,
     )
 
 
@@ -122,8 +119,8 @@ def temporal_filter(mats: Sequence[ModularityMatrix], coeffs: FilterCoeffs) -> M
     """Coefficient blend of a window of modularity matrices.
 
     ``mats[l]`` is weighted by ``coeffs.c[l]`` (index 0 = most recent).  Row
-    sums stay zero because each input's do; the degree vector is blended with
-    the same weights.
+    sums stay zero because each input's do.  The degree columns are stacked,
+    each one's weight scaled by its coefficient.
     """
     if len(mats) != len(coeffs):
         raise ValueError(f"window size {len(mats)} != coefficient count {len(coeffs)}")
@@ -136,7 +133,6 @@ def temporal_filter(mats: Sequence[ModularityMatrix], coeffs: FilterCoeffs) -> M
         adjacency=sum(c * m.adjacency for m, c in zip(mats, coeffs.c)),
         degree_cols=np.hstack([m.degree_cols for m in mats]),
         weights=np.concatenate([c * m.weights for m, c in zip(mats, coeffs.c)]),
-        degrees=sum(c * m.degrees for m, c in zip(mats, coeffs.c)),
     )
 
 

@@ -223,6 +223,17 @@ def test_scores_edgeless_graph_all_ones(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("top", ["0", "-3"])
+def test_scores_top_below_one_is_usage_error(tmp_path, capsys, top):
+    graph_path = tmp_path / "k3.txt"
+    graph_path.write_text("0 1\n0 2\n1 2\n")
+    scores_path = tmp_path / "scores.csv"
+    rc = main(["scores", "--graph", str(graph_path), "--out", str(scores_path), "--top", top])
+    assert rc == 2
+    assert "--top" in capsys.readouterr().err
+    assert not scores_path.exists()
+
+
 def test_scores_missing_graph(tmp_path, capsys):
     rc = main(["scores", "--graph", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "s.csv")])
     assert rc == 1

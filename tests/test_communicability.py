@@ -23,9 +23,11 @@ from communifind import (
     generate,
     subgraph_centrality,
     summed_total_communicability,
+    top_k,
     total_communicability,
     write_scores_csv,
 )
+from communifind import communicability
 from conftest import mixed_model_spec
 
 
@@ -154,13 +156,48 @@ def test_summed_scores_match_per_graph_solves(model):
     assert np.abs(stacked.scores / oracle - 1.0).max() <= 1e-8
 
 
-def test_summed_scores_single_graph_and_rejections():
+def test_summed_scores_single_graph_and_rejections(monkeypatch):
     g = clique(4).to_graph()
     assert summed_total_communicability([g]).scores == pytest.approx(np.full(4, math.exp(3.0)), rel=1e-12)
     with pytest.raises(ValueError):
         summed_total_communicability([])
     with pytest.raises(ValueError):
+        summed_total_communicability(iter([]))
+    with pytest.raises(ValueError):
         summed_total_communicability([g, clique(5).to_graph()])
+    # stacks of two: the odd graph opens the second stack
+    monkeypatch.setattr(communicability, "_STACK_NODES", 8)
+    with pytest.raises(ValueError, match="same node count"):
+        summed_total_communicability(iter([g, g, clique(5).to_graph(), g]))
+
+
+def test_generator_input_is_scored_stack_by_stack(monkeypatch):
+    # stacks of two 100-node graphs: a stack is drawn only after the previous
+    # stack's solve, and each stack meets tol as the per-graph solves do
+    monkeypatch.setattr(communicability, "_STACK_NODES", 250)
+    graphs = [generate(GraphGenSpec(model="er", n=100, avg_degree=4.0, seed=s)) for s in range(5)]
+    events, solves = [], []
+
+    def drawn():
+        for i, g in enumerate(graphs):
+            events.append(f"draw {i}")
+            yield g
+
+    def recorded(g, v, params, *, blocks):
+        events.append(f"solve {blocks}")
+        solves.append(expm_action(g, v, params, blocks=blocks))
+        return solves[-1]
+
+    monkeypatch.setattr(communicability, "expm_action", recorded)
+    params = KrylovParams()
+    summed = summed_total_communicability(drawn(), params)
+    assert events == ["draw 0", "draw 1", "solve 2", "draw 2", "draw 3", "solve 2", "draw 4", "solve 1"]
+    assert summed.kind == "tc_sum" and summed.num_backgrounds == 5
+    own = [expm_action(g, np.ones(100), params).value for g in graphs]
+    blocks = np.concatenate([res.value for res in solves]).reshape(5, 100)
+    for block, ref in zip(blocks, own):
+        assert np.linalg.norm(block - ref) / np.linalg.norm(ref) <= params.tol
+    assert np.array_equal(top_k(summed, 10), top_k(ScoreVector(sum(own), "tc_sum", 5), 10))
 
 
 @pytest.mark.parametrize("graphs", [1, 2])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
@@ -30,10 +31,11 @@ from communifind import (
     run_baseline,
     run_pipeline,
     summarize_rates,
+    summed_total_communicability,
     top_k,
     total_communicability,
 )
-from communifind import identify
+from communifind import communicability, identify
 from communifind.identify import background_seed, embedding_seed
 from conftest import mixed_model_spec, validate_graph
 
@@ -100,6 +102,13 @@ def test_apply_embedding_matches_pair_union(index):
 def test_apply_embedding_on_edgeless_background():
     host = apply_embedding(Graph.from_pairs(30, []), clique(20), draw_embedding(30, 20, seed=1))
     assert host.edge_count == 190
+    validate_graph(host)
+
+
+def test_apply_embedding_edgeless_target_keeps_background():
+    background = Graph.from_pairs(6, [(0, 1), (2, 5)])
+    host = apply_embedding(background, TargetSpec(3, ()), draw_embedding(6, 3, seed=2))
+    assert host == background
     validate_graph(host)
 
 
@@ -318,9 +327,9 @@ def test_stacked_scoring_matches_one_solve_per_background(monkeypatch):
     # run identifies; a stack of n nodes means one background per solve
     cfg = _small_cfg(runs=6, num_backgrounds=5)
     stacked = run_pipeline(cfg)
-    monkeypatch.setattr(identify, "_STACK_NODES", cfg.background.n)
+    monkeypatch.setattr(communicability, "_STACK_NODES", cfg.background.n)
     single = run_pipeline(cfg)
-    monkeypatch.setattr(identify, "_STACK_NODES", 2 * cfg.background.n)
+    monkeypatch.setattr(communicability, "_STACK_NODES", 2 * cfg.background.n)
     pairs = run_pipeline(cfg)  # stacks of 2, 2, 1
     for a, b, c in zip(stacked, single, pairs):
         assert np.array_equal(a.candidates, b.candidates)
@@ -330,7 +339,7 @@ def test_stacked_scoring_matches_one_solve_per_background(monkeypatch):
 def test_eight_backgrounds_share_one_solve():
     # a run at n=1024 scores eight hosts per solve, here with a weak fourth
     # block (mean degree 0.5); every block must meet tol as in its own solve
-    assert identify._STACK_NODES // 1024 == 8
+    assert communicability._STACK_NODES // 1024 == 8
     target = canonical_sparse_target(0)
     embedding = draw_embedding(1024, target.t, 5)
     hosts = [
@@ -343,7 +352,7 @@ def test_eight_backgrounds_share_one_solve():
     for host, block in zip(hosts, stacked.value.reshape(8, 1024)):
         own = expm_action(host, np.ones(1024), params).value
         assert np.linalg.norm(block - own) / np.linalg.norm(own) <= params.tol
-    summed = identify._summed_scores(iter(hosts), 1024, params)
+    summed = summed_total_communicability(iter(hosts), params)
     one_per_solve = ScoreVector(sum(total_communicability(h, params).scores for h in hosts), "tc_sum", 8)
     assert np.array_equal(top_k(summed, 20), top_k(one_per_solve, 20))
 
@@ -408,6 +417,25 @@ def _golden_cfg(background: GraphGenSpec, num_backgrounds: int, base_seed: int) 
 def test_golden_runs_pinned(method, cfg, golden):
     got = [(r.embedding.map.tolist(), r.candidates.tolist()) for r in method(cfg)]
     assert got == [(list(m), list(c)) for m, c in golden]
+
+
+@pytest.mark.parametrize(
+    "method", [run_pipeline, lambda cfg: run_baseline(cfg, r=5)], ids=["pipeline", "baseline"]
+)
+def test_edgeless_target_runs_on_plain_backgrounds(method):
+    # an edgeless target adds no edge: the hosts are the backgrounds
+    cfg = _small_cfg(target=TargetSpec(3, ()))
+    results = method(cfg)
+    assert len(results) == cfg.runs
+    for i, r in enumerate(results):
+        assert r.embedding.t == 3
+        assert r.hits == int(np.isin(r.embedding.map, r.candidates).sum())
+        if method is run_pipeline:
+            backgrounds = [
+                generate(dataclasses.replace(cfg.background, seed=background_seed(cfg.base_seed, i, b)))
+                for b in range(cfg.num_backgrounds)
+            ]
+            assert np.array_equal(r.candidates, top_k(summed_total_communicability(backgrounds), 3))
 
 
 def test_one_embedding_shared_across_backgrounds():

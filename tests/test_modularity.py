@@ -39,7 +39,6 @@ from conftest import mixed_model_spec
 def test_matrix_single_edge():
     b = modularity_matrix(clique(2).to_graph())
     assert b.to_dense() == pytest.approx(np.array([[-0.5, 0.5], [0.5, -0.5]]))
-    assert b.degrees.tolist() == [1.0, 1.0]
 
 
 def test_matrix_triangle():
@@ -98,7 +97,6 @@ def test_blend_is_linear():
     m1, m2 = modularity_matrix(g1), modularity_matrix(g2)
     out = temporal_filter([m1, m2], FilterCoeffs(c=(0.75, 0.25)))
     assert out.to_dense() == pytest.approx(0.75 * m1.to_dense() + 0.25 * m2.to_dense(), rel=1e-12)
-    assert out.degrees == pytest.approx(0.75 * m1.degrees + 0.25 * m2.degrees, rel=1e-12)
     # blended rows still sum to zero
     assert np.abs(out @ np.ones(40)).max() <= 1e-9
 
@@ -144,7 +142,6 @@ def test_scan_flags_the_spiky_eigenvector():
         adjacency=scipy.sparse.csr_matrix(m),
         degree_cols=np.zeros((n, 0)),
         weights=np.zeros(0),
-        degrees=np.ones(n),
     )
     scan = eigen_l1_scores(b, r=2)
     assert scan.eigenvalues == pytest.approx([5.0, 4.0])
