@@ -1,13 +1,18 @@
 """Undirected graph container, random-graph generators, and edge-list IO.
 
 Graphs are simple (no self-loops, no duplicate edges), undirected and
-unweighted, with dense 0-based node labels.  The adjacency structure is kept
-in compressed sparse rows with each neighbor list sorted ascending, which
-gives deterministic iteration order everywhere downstream.
+unweighted, with dense 0-based node labels.  A graph stores its edges as
+sorted canonical codes ``u * n + v`` (u < v): the generators emit them in
+that form, overlaying a target merges codes, and a disjoint union
+concatenates them.  The compressed sparse rows, with each neighbor list
+sorted ascending for deterministic iteration order downstream, are built
+from the codes once, when something first reads them; in a run that is the
+Krylov solve of a stack of hosts.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -45,17 +50,19 @@ Model = Literal["er", "ba", "sw"]
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable simple undirected graph in CSR form.
+    """Immutable simple undirected graph, stored as its sorted edge codes.
 
+    Each undirected edge is kept once as the canonical code ``u * n + v``
+    (u < v), in a read-only ascending array (:meth:`edge_codes`);
+    ``edge_count`` is its length.  The compressed sparse rows
     ``indptr``/``indices`` hold both directions of every edge, with each
-    row's neighbor list sorted ascending; ``edge_count`` counts undirected
-    edges once.
+    row's neighbor list sorted ascending.  They are built from the codes on
+    first use and then cached, so a graph that is only generated, overlaid
+    and stacked never builds them.
     """
 
     n: int
-    edge_count: int
-    indptr: np.ndarray
-    indices: np.ndarray
+    _codes: np.ndarray
 
     # -------------------------------------------------------------- build
 
@@ -89,51 +96,62 @@ class Graph:
 
     @staticmethod
     def _from_codes(n: int, codes: np.ndarray) -> "Graph":
-        """Build from sorted, unique canonical edge codes ``u * n + v`` (u < v).
+        """Wrap sorted, unique canonical edge codes ``u * n + v`` (u < v) as a graph.
+
+        The array is frozen in place, not copied: callers pass one they own.
+        """
+        if n < 0:
+            raise ValueError("node count must be nonnegative")
+        codes = np.ascontiguousarray(codes, dtype=np.int64)
+        codes.flags.writeable = False
+        return Graph(n, codes)
+
+    def _insert_codes(self, codes: np.ndarray) -> "Graph":
+        """This graph plus the edges with canonical codes ``codes``; present edges merge.
+
+        The new codes, sorted and deduplicated, go into the graph's ascending
+        codes at binary-searched positions: O(E) copying, no sort of the
+        graph's edges and no CSR.
+        """
+        old = self._codes
+        new = np.unique(np.asarray(codes, dtype=np.int64))
+        at = np.searchsorted(old, new)
+        fresh = old.take(at, mode="clip") != new if old.size else np.ones(new.size, dtype=bool)
+        return Graph._from_codes(self.n, np.insert(old, at[fresh], new[fresh]))
+
+    @functools.cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)``, built from the codes once.
 
         Every edge enters twice, first as (row v, col u) and then as
         (row u, col v).  Codes ascend, so within one row the first half
         lists the smaller neighbors ascending and the second half the larger
         ones; a stable sort by row alone therefore yields sorted rows.
         """
-        if n < 0:
-            raise ValueError("node count must be nonnegative")
-        us, vs = np.divmod(codes, n)
+        n = self.n
+        us, vs = np.divmod(self._codes, n)
         rows = np.concatenate([vs, us])
         cols = np.concatenate([us, vs])
         indices = cols[_stable_order(rows, n)]
-        return Graph._frozen(n, int(codes.size), np.bincount(rows, minlength=n), indices)
-
-    @staticmethod
-    def _frozen(n: int, edge_count: int, degrees: np.ndarray, indices: np.ndarray) -> "Graph":
-        """Wrap per-node degrees and row-sorted neighbor ids as a read-only graph."""
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        indices = np.ascontiguousarray(indices)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         indices.flags.writeable = False
         indptr.flags.writeable = False
-        return Graph(n=n, edge_count=edge_count, indptr=indptr, indices=indices)
-
-    def _insert_codes(self, codes: np.ndarray) -> "Graph":
-        """This graph plus the edges ``u * n + v`` (u != v) in ``codes``; present edges merge.
-
-        The row-major keys ``row * n + col`` of the CSR entries ascend, so both
-        directions of each new edge are spliced into ``indices`` at
-        binary-searched positions: O(E) copying and no sort.
-        """
-        n = self.n
-        us, vs = np.divmod(np.asarray(codes, dtype=np.int64), n)
-        new = np.unique(np.concatenate([us * n + vs, vs * n + us]))
-        degrees = self.degrees
-        keys = np.repeat(np.arange(n, dtype=np.int64), degrees) * n + self.indices
-        at = np.searchsorted(keys, new)
-        fresh = keys[np.minimum(at, keys.size - 1)] != new if keys.size else np.ones(new.size, bool)
-        new_rows, new_cols = np.divmod(new[fresh], n)
-        indices = np.insert(self.indices, at[fresh], new_cols)
-        degrees = degrees + np.bincount(new_rows, minlength=n)
-        return Graph._frozen(n, self.edge_count + new_rows.size // 2, degrees, indices)
+        return indptr, indices
 
     # -------------------------------------------------------------- views
+
+    @property
+    def edge_count(self) -> int:
+        return int(self._codes.size)
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self._csr[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self._csr[1]
 
     @property
     def degrees(self) -> np.ndarray:
@@ -147,26 +165,26 @@ class Graph:
         return self.indices[self.indptr[u] : self.indptr[u + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors(u)
-        i = np.searchsorted(row, v)
-        return i < row.size and row[i] == v
+        if u == v:
+            return False
+        code = min(u, v) * self.n + max(u, v)
+        i = np.searchsorted(self._codes, code)
+        return i < self._codes.size and self._codes[i] == code
 
     def edge_codes(self) -> np.ndarray:
-        """Canonical codes ``u * n + v`` (u < v), ascending."""
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-        mask = self.indices > rows
-        return rows[mask] * np.int64(self.n) + self.indices[mask]
+        """Canonical codes ``u * n + v`` (u < v), ascending (the stored, read-only array)."""
+        return self._codes
 
     def edge_pairs(self) -> np.ndarray:
         """All undirected edges as an (E, 2) array with u < v, lexicographic."""
-        codes = self.edge_codes()
-        return np.column_stack([codes // self.n, codes % self.n])
+        return np.column_stack(np.divmod(self._codes, self.n))
 
     def to_dense(self) -> np.ndarray:
         """Dense float adjacency matrix."""
         a = np.zeros((self.n, self.n))
-        rows = np.repeat(np.arange(self.n), self.degrees)
-        a[rows, self.indices] = 1.0
+        us, vs = np.divmod(self._codes, self.n)
+        a[us, vs] = 1.0
+        a[vs, us] = 1.0
         return a
 
     @property
@@ -180,12 +198,7 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.edge_count == other.edge_count
-            and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.indices, other.indices)
-        )
+        return self.n == other.n and np.array_equal(self._codes, other._codes)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
@@ -206,15 +219,20 @@ def _stable_order(keys: np.ndarray, n: int) -> np.ndarray:
 
 
 def disjoint_union(graphs: Sequence[Graph]) -> Graph:
-    """Block-diagonal union: the nodes of ``graphs[i]`` follow those of the graphs before it."""
+    """Block-diagonal union: the nodes of ``graphs[i]`` follow those of the graphs before it.
+
+    Each graph's codes are re-based to the union's node count and offset,
+    and concatenated; they stay ascending because the blocks do.
+    """
     if not graphs:
         raise ValueError("disjoint_union needs at least one graph")
     node_offsets = np.cumsum([0] + [g.n for g in graphs])
-    entry_offsets = np.cumsum([0] + [g.indices.size for g in graphs])
-    indices = np.concatenate([g.indices + off for g, off in zip(graphs, node_offsets)])
-    degrees = np.concatenate([g.degrees for g in graphs])
-    edge_count = sum(g.edge_count for g in graphs)
-    return Graph._frozen(int(node_offsets[-1]), edge_count, degrees, indices)
+    total = np.int64(node_offsets[-1])
+    parts = []
+    for g, off in zip(graphs, node_offsets):
+        us, vs = np.divmod(g.edge_codes(), g.n)
+        parts.append((us + off) * total + (vs + off))
+    return Graph._from_codes(int(total), np.concatenate(parts))
 
 
 def density(g: Graph) -> float:
@@ -306,15 +324,24 @@ def generate(spec: GraphGenSpec) -> Graph:
     return gen_watts_strogatz(spec)
 
 
+def _er_block_margin(mean: float) -> float:
+    """Gaps drawn in the first ER block beyond the ``mean`` successes expected:
+    six standard deviations of the edge count, and 16 for small means."""
+    return 6.0 * math.sqrt(mean) + 16.0
+
+
 def gen_erdos_renyi(spec: GraphGenSpec) -> Graph:
     """G(n, p) with p = avg_degree / (n - 1).
 
     Pairs are enumerated in lexicographic order and successes located by
     geometric gap-skipping (Batagelj & Brandes 2005): a block of gaps, a
     cumulative sum of pair positions, and a search over row starts, so the
-    cost is O(n + E) rather than O(n^2).  A block holds about as many gaps as
-    successes are expected in the pairs left; when it ends short of the last
-    pair, the next block continues the same stream.
+    cost is O(n + E) rather than O(n^2).  The first block holds the expected
+    number of successes plus :func:`_er_block_margin`, so it almost always
+    reaches the last pair; when a block ends short of it, the next block,
+    about as many gaps as successes are expected in the pairs left, continues
+    the same stream.  Gaps past the last pair are discarded, so the graph
+    does not depend on the block sizes.
     """
     if spec.model != "er":
         raise ValueError("gen_erdos_renyi requires an 'er' spec")
@@ -330,12 +357,13 @@ def gen_erdos_renyi(spec: GraphGenSpec) -> Graph:
     total = n * (n - 1) // 2
     chunks = []
     last = -1  # linear index into the lexicographic pair enumeration
+    block = math.ceil(total * p + _er_block_margin(total * p))
     while last < total:
-        block = math.ceil((total - 1 - last) * p) + 1
         gaps = np.minimum(rng.geometric_skips(p, block), total)
         positions = last + np.cumsum(gaps + 1)
         chunks.append(positions)
         last = int(positions[-1])
+        block = math.ceil((total - 1 - last) * p) + 1
     positions = np.concatenate(chunks)
     positions = positions[: np.searchsorted(positions, total)]
     i = np.arange(n, dtype=np.int64)
@@ -397,7 +425,8 @@ def gen_watts_strogatz(spec: GraphGenSpec) -> Graph:
     decisions for all of them come from one block of uniforms, and only the
     chosen edges are rewired in a loop.  A pair is adjacent when it is a
     lattice pair not yet removed, or a pair added by rewiring, so no
-    adjacency sets are kept.
+    adjacency sets are kept.  The loop reads its endpoints ``int(x * n)``
+    from uniforms ``x`` drawn ``_FEED_BLOCK`` at a time.
     """
     if spec.model != "sw":
         raise ValueError("gen_watts_strogatz requires an 'sw' spec")
@@ -406,38 +435,41 @@ def gen_watts_strogatz(spec: GraphGenSpec) -> Graph:
     near = np.tile(np.arange(n, dtype=np.int64), half)
     far = (near + np.repeat(np.arange(1, half + 1, dtype=np.int64), n)) % n
     keep = np.ones(n * half, dtype=bool)
-    added: list[int] = []
+    added: set[int] = set()
     if beta > 0.0:
         rng = SeededRng(spec.seed)
         chosen = np.flatnonzero(rng.uniforms(n * half) < beta)
-        feed = _uniform_feed(rng)
+        ends: list[int] = []  # pre-drawn endpoints, read from ends[at] on
+        at = 0
         rewired: list[int] = []
         removed: set[int] = set()
-        added_set: set[int] = set()
         degree = [k] * n
         for j, u, old in zip(chosen.tolist(), near[chosen].tolist(), far[chosen].tolist()):
             if degree[u] >= n - 1:
                 continue  # no valid endpoint to rewire to
             while True:
-                w = int(next(feed) * n)
-                if w == u:
+                if at == len(ends):
+                    ends = (rng.uniforms(_FEED_BLOCK) * n).astype(np.int64).tolist()
+                    at = 0
+                w = ends[at]
+                at += 1
+                dist = u - w if u > w else w - u
+                if dist == 0:
                     continue
                 code = u * n + w if u < w else w * n + u
-                if code in added_set:
-                    continue
-                dist = abs(u - w)
-                if min(dist, n - dist) > half or code in removed:
+                # accept a pair that is not adjacent: beyond the lattice's
+                # ring distance or a removed lattice pair, and not added
+                if (dist > half and n - dist > half or code in removed) and code not in added:
                     break
             removed.add(u * n + old if u < old else old * n + u)
             rewired.append(j)
             degree[old] -= 1
             degree[w] += 1
-            added_set.add(code)
-            added.append(code)
+            added.add(code)
         keep[rewired] = False
     lo = np.minimum(near[keep], far[keep])
     hi = np.maximum(near[keep], far[keep])
-    codes = np.concatenate([lo * n + hi, np.asarray(added, dtype=np.int64)])
+    codes = np.concatenate([lo * n + hi, np.fromiter(added, dtype=np.int64, count=len(added))])
     return Graph._from_codes(n, np.sort(codes))
 
 

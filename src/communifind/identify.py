@@ -108,12 +108,13 @@ def apply_embedding(background: Graph, target: TargetSpec, embedding: Embedding)
 
     Mapped target edges that already exist in the background merge silently
     (the union is still a simple graph); mapped node degrees rise accordingly.
-    The at most t(t-1)/2 mapped edges are spliced into the background's CSR
-    arrays at binary-searched positions, so assembly is O(E) with no sort.
+    The codes of the at most t(t-1)/2 mapped edges are merged into the
+    background's sorted edge codes at binary-searched positions, so assembly
+    is O(E) with no sort, and the host builds no CSR.
     """
     if embedding.t != target.t:
         raise ValueError("embedding size does not match target size")
-    if embedding.map.size and int(embedding.map.max()) >= background.n:
+    if embedding.map.size and not 0 <= int(embedding.map.min()) <= int(embedding.map.max()) < background.n:
         raise ValueError("embedding maps outside the background graph")
     tedges = np.asarray(target.edges, dtype=np.int64).reshape(-1, 2)
     mapped_u = embedding.map[tedges[:, 0]]
@@ -193,7 +194,11 @@ class PhaseSeconds:
     ``generation`` builds the hosts (background generation and embedding),
     ``scoring`` is the method's scoring of the hosts without generation, and
     ``selection`` picks the candidates: top-k for the pipeline, the
-    two-means split for the baseline.
+    two-means split for the baseline.  A host leaves generation as sorted
+    edge codes; its adjacency rows (CSR) are built while it is scored, once
+    per Krylov stack for the pipeline and once per host for the baseline,
+    so that build counts under ``scoring``, not under ``generation`` as it
+    did when every host built its own CSR.
     """
 
     generation: float = 0.0

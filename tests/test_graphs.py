@@ -26,6 +26,7 @@ from communifind import (
     read_edge_list,
     write_edge_list,
 )
+from communifind import graphs as graphs_module
 from communifind.rng import SeededRng
 from conftest import mixed_model_spec, validate_graph
 
@@ -94,6 +95,54 @@ def test_csr_rows_sorted_beyond_16_bit_labels():
     rows, cols = np.concatenate([us, vs]), np.concatenate([vs, us])
     assert np.array_equal(g.indices, cols[np.lexsort((cols, rows))])
     assert np.array_equal(g.degrees, np.bincount(rows, minlength=n))
+
+
+def _has_csr(g: Graph) -> bool:
+    return "_csr" in vars(g)
+
+
+def test_csr_built_once_then_cached(monkeypatch):
+    g = Graph.from_pairs(5, [(4, 0), (0, 2), (0, 1)])
+    assert not _has_csr(g)
+    builds = []
+    radix = graphs_module._stable_order
+    monkeypatch.setattr(graphs_module, "_stable_order", lambda keys, n: builds.append(n) or radix(keys, n))
+    indptr, indices = g.indptr, g.indices
+    assert g.neighbors(0).tolist() == [1, 2, 4] and g.degree(4) == 1
+    assert g.indptr is indptr and g.indices is indices
+    assert builds == [5]
+    assert not indptr.flags.writeable and not indices.flags.writeable
+
+
+def test_edge_codes_are_the_stored_read_only_array():
+    g = generate(mixed_model_spec(4))
+    codes = g.edge_codes()
+    assert codes.size == g.edge_count > 0 and codes is g.edge_codes()
+    assert not codes.flags.writeable
+    with pytest.raises(ValueError):
+        codes[0] = 0
+    assert not _has_csr(g)
+
+
+def test_disjoint_union_csr_is_offset_concatenation():
+    # a 1-node graph first, an edgeless graph between two generated ones
+    graphs = [
+        Graph.from_pairs(1, []),
+        generate(mixed_model_spec(3, max_n=60)),
+        Graph.from_pairs(4, []),
+        generate(mixed_model_spec(7, max_n=60)),
+        generate(mixed_model_spec(11, max_n=60)),
+        Graph.from_pairs(3, [(0, 2)]),
+    ]
+    u = disjoint_union(graphs)
+    assert not _has_csr(u) and not any(_has_csr(g) for g in graphs)
+    node_offsets = np.cumsum([0] + [g.n for g in graphs])
+    entry_offsets = np.cumsum([0] + [g.indices.size for g in graphs])
+    indptr = np.concatenate([[0]] + [g.indptr[1:] + off for g, off in zip(graphs, entry_offsets)])
+    indices = np.concatenate([g.indices + off for g, off in zip(graphs, node_offsets)])
+    assert u.n == node_offsets[-1] and u.edge_count == sum(g.edge_count for g in graphs)
+    assert np.array_equal(u.indptr, indptr) and np.array_equal(u.indices, indices)
+    validate_graph(u)
 
 
 def test_disjoint_union_is_block_diagonal():
@@ -187,12 +236,14 @@ def _er_reference(n: int, avg: float, seed: int) -> list[int]:
 
 
 @pytest.mark.parametrize("n,avg,seeds", [(60, 0.9 * 59, 20), (2000, 0.004, 50)])
-def test_er_block_refill_high_and_tiny_p(n, avg, seeds):
-    # a block holds ~ the expected number of gaps, so about half the seeds
-    # need a refill; the result must equal the one-draw-at-a-time loop
+def test_er_block_refill_high_and_tiny_p(n, avg, seeds, monkeypatch):
+    # without its margin the first block holds ~ the expected number of gaps,
+    # so about half the seeds need a refill; the result must equal the
+    # one-draw-at-a-time loop
+    monkeypatch.setattr(graphs_module, "_er_block_margin", lambda mean: 0.0)
     p = avg / (n - 1)
     total = n * (n - 1) // 2
-    first_block = math.ceil((total - 1) * p) + 1
+    first_block = math.ceil(total * p)
     counts = []
     for seed in range(seeds):
         g = gen_erdos_renyi(GraphGenSpec(model="er", n=n, avg_degree=avg, seed=seed))
@@ -206,6 +257,17 @@ def test_er_block_refill_high_and_tiny_p(n, avg, seeds):
     assert max(counts) >= first_block  # the refill path ran
     sigma_mean = math.sqrt(total * p * (1 - p) / seeds)
     assert abs(float(np.mean(counts)) - total * p) <= 3 * sigma_mean
+
+
+def test_er_first_block_reaches_the_last_pair(monkeypatch):
+    # the margin of the first block makes a second draw of gaps rare
+    calls = []
+    skips = SeededRng.geometric_skips
+    monkeypatch.setattr(SeededRng, "geometric_skips", lambda self, p, count: calls.append(count) or skips(self, p, count))
+    for seed in range(20):
+        calls.clear()
+        g = gen_erdos_renyi(GraphGenSpec(model="er", n=1024, avg_degree=2.0, seed=seed))
+        assert len(calls) == 1 and calls[0] > g.edge_count
 
 
 def test_er_spec_validation():
@@ -317,7 +379,9 @@ def _sw_reference(n: int, k: int, beta: float, seed: int) -> Graph:
     return Graph.from_pairs(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
 
 
-@pytest.mark.parametrize("n,k,beta", [(12, 8, 0.9), (40, 6, 0.5), (300, 10, 0.1)])
+# (1000, 10, 1.0) rewires all 5000 lattice edges, so its endpoints take more
+# than one _FEED_BLOCK of 4096 uniforms
+@pytest.mark.parametrize("n,k,beta", [(12, 8, 0.9), (40, 6, 0.5), (300, 10, 0.1), (1000, 10, 1.0)])
 def test_sw_matches_adjacency_set_reference(n, k, beta):
     for seed in range(10):
         spec = GraphGenSpec(model="sw", n=n, k=k, beta=beta, seed=seed)

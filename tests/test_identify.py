@@ -87,7 +87,7 @@ def test_apply_embedding_overlap_collapses():
 
 @pytest.mark.parametrize("index", range(0, 60, 7))
 def test_apply_embedding_matches_pair_union(index):
-    # splicing into CSR must equal a from-scratch build of the union of pairs
+    # merging codes must equal a from-scratch build of the union of pairs
     background = generate(mixed_model_spec(index, max_n=120))
     target = clique(5) if index % 2 else TargetSpec(4, ((0, 1), (1, 2), (2, 3)))
     e = draw_embedding(background.n, target.t, seed=index)
@@ -118,6 +118,19 @@ def test_apply_embedding_mismatch_errors():
         apply_embedding(background, TargetSpec(3, ((0, 1),)), Embedding(map=np.array([0, 1])))
     with pytest.raises(ValueError):
         apply_embedding(background, TargetSpec(2, ((0, 1),)), Embedding(map=np.array([0, 7])))
+
+
+def test_apply_embedding_rejects_negative_ids():
+    background = Graph.from_pairs(4, [(0, 1)])
+    with pytest.raises(ValueError, match="outside the background graph"):
+        apply_embedding(background, TargetSpec(2, ((0, 1),)), Embedding(map=np.array([-1, 2])))
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_generated_and_embedded_graphs_build_no_csr(index):
+    background = generate(mixed_model_spec(index))
+    host = apply_embedding(background, clique(6), draw_embedding(background.n, 6, seed=index))
+    assert "_csr" not in vars(background) and "_csr" not in vars(host)
 
 
 def test_embed_composes_draw_and_apply():
