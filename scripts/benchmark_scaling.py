@@ -13,8 +13,9 @@ within the noise of the machine.
 A generation time covers ``generate(spec).indptr``: the generator and the
 graph's one CSR build.  A graph builds its CSR lazily, on first use, but
 generation timings taken before that change included the build, so the
-``gen`` columns stay comparable with them.  Scoring is timed on a graph
-whose CSR is already built.
+``gen`` columns stay comparable with them.  Scoring reads no node-order
+CSR: its time includes the build of the degree-ordered rows that every
+Krylov solve makes from the edge codes.
 
 Usage:
     python scripts/benchmark_scaling.py [--sizes 1000,10000,100000] [--repeats 3]
@@ -57,7 +58,6 @@ def main(argv=None) -> int:
         }
         gen_secs = {name: [_timed(_generate_csr, spec)[0] for _ in range(repeats)] for name, spec in specs.items()}
         g = generate(specs["er"])
-        g.indptr  # builds and caches the CSR outside the scoring times
         timed = [_timed(expm_action, g, np.ones(n)) for _ in range(repeats)]
         score_secs = [t for t, _ in timed]
         steps = timed[0][1].iterations

@@ -7,6 +7,17 @@ length-n basis vector per step taken, used only to form the iterate.
 :func:`expm_dense_oracle` is the independent dense reference used to validate
 it.
 
+A step's sparse product runs over the adjacency rows sorted by degree, which
+each solve builds once from the graph's edge codes
+(``Graph._degree_ordered_csr``).  Rows of a sparse graph hold a few
+nonzeros of varying count, and a product in node order spends its time on
+the row loop's unpredictable lengths; in degree order, rows of equal length
+run back to back (the row sorting of SELL-C-sigma: Kreutzer, Hager, Wellein,
+Fehske & Bishop, SIAM J. Sci. Comput. 2014).  Each row keeps its neighbors'
+original labels in ascending order, so taking the product back to node order
+adds the same terms in the same order as a node-order product: the results
+are bit for bit those of the node-order rows.
+
 Every basis vector has unit norm.  Were the basis orthonormal, the change
 between successive iterates would be ``beta0 * ||y_s - [y_{s-1}; 0]||`` for
 the projected vectors, and ``||x_s||`` would be ``beta0 * ||y_s||``.  Their
@@ -110,11 +121,6 @@ class ExpmResult:
     converged: bool
 
 
-def _adjacency_csr(g: Graph) -> scipy.sparse.csr_matrix:
-    data = np.ones(g.indices.size)
-    return scipy.sparse.csr_matrix((data, g.indices, g.indptr), shape=(g.n, g.n))
-
-
 def _expm_first_col(alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
     """First column of exp(T) for the symmetric tridiagonal T with diagonal
     ``alphas`` and off-diagonal ``betas``."""
@@ -150,9 +156,10 @@ def expm_action(
     in floating point (Druskin, Greenbaum & Knizhnerman, "Using nonorthogonal
     Lanczos vectors in the computation of matrix functions", SIAM J. Sci.
     Comput. 1998; Musco, Musco & Sidford, "Stability of the Lanczos method
-    for matrix function approximation", SODA 2018).  A step costs one sparse
-    product, a few length-n vector operations and the eigendecomposition of
-    the small tridiagonal matrix.
+    for matrix function approximation", SODA 2018).  The solve first builds
+    the degree-ordered rows of A (see the module docstring); a step then
+    costs one sparse product over them, a few length-n vector operations and
+    the eigendecomposition of the small tridiagonal matrix.
 
     Parameters
     ----------
@@ -197,7 +204,8 @@ def expm_action(
     if beta0 == 0.0:
         raise ValueError("cannot propagate the zero vector")
 
-    a = _adjacency_csr(g)
+    indptr, indices, rank = g._degree_ordered_csr()
+    a = scipy.sparse.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
     m = params.m
     basis = np.empty((min(m, _BASIS_ROWS), n))
     alphas = np.empty(m)  # diagonal of the projected tridiagonal matrix
@@ -213,7 +221,7 @@ def expm_action(
         if s > len(basis):
             basis = np.vstack((basis, np.empty((min(len(basis), m - len(basis)), n))))
         basis[s - 1] = v_cur
-        w = a @ v_cur
+        w = (a @ v_cur).take(rank)
         alpha = float(v_cur @ w)
         w -= alpha * v_cur
         if s > 1:

@@ -6,8 +6,9 @@ sorted canonical codes ``u * n + v`` (u < v): the generators emit them in
 that form, overlaying a target merges codes, and a disjoint union
 concatenates them.  The compressed sparse rows, with each neighbor list
 sorted ascending for deterministic iteration order downstream, are built
-from the codes once, when something first reads them; in a run that is the
-Krylov solve of a stack of hosts.
+from the codes once, when something first reads them: in the baseline, once
+per host.  A Krylov solve builds its own rows from the codes instead, in
+degree order, so a run of the pipeline builds no node-order rows at all.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ class Graph:
     ``edge_count`` is its length.  The compressed sparse rows
     ``indptr``/``indices`` hold both directions of every edge, with each
     row's neighbor list sorted ascending.  They are built from the codes on
-    first use and then cached, so a graph that is only generated, overlaid
-    and stacked never builds them.
+    first use and then cached, so a graph that is only generated, overlaid,
+    stacked and scored never builds them.
     """
 
     n: int
@@ -139,6 +140,36 @@ class Graph:
         indptr.flags.writeable = False
         return indptr, indices
 
+    def _degree_ordered_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, indices, rank)``: the adjacency rows in ascending degree order.
+
+        Node ``u``'s row is row ``rank[u]``; ties keep ascending node id.
+        Each row lists the neighbors' original labels ascending, so
+        ``(A_rows @ x).take(rank)`` adds the same terms in the same order as
+        a product with the node-order rows of :attr:`_csr`, bit for bit,
+        while rows of equal length run back to back.  Built from the codes
+        like ``_csr``, with every entry's sort key ``rank[row]`` in place of
+        its row, and not cached: the Krylov solve of a stack builds it once.
+        """
+        n = self.n
+        us = self._codes // n  # with the subtraction, half the time of np.divmod
+        vs = self._codes - us * n
+        rows = np.concatenate([vs, us])
+        cols = np.concatenate([us, vs])
+        deg = np.bincount(rows, minlength=n)
+        order = _stable_order(deg, int(deg.max(initial=0)) + 1)
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+        indices = cols[_stable_order(rank[rows], n)]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(deg[order], out=indptr[1:])
+        return indptr, indices, rank
+
+    def __reduce__(self):
+        # rebuild through _from_codes, so a graph sent to or from a worker
+        # process is read-only again and its cached rows are not pickled
+        return (Graph._from_codes, (self.n, self._codes))
+
     # -------------------------------------------------------------- views
 
     @property
@@ -207,9 +238,10 @@ class Graph:
 def _stable_order(keys: np.ndarray, n: int) -> np.ndarray:
     """Stable argsort of integer keys in [0, n): LSD radix passes over 16-bit digits.
 
-    numpy's stable sort of 16-bit keys is a radix sort, so each pass is O(len).
+    numpy's stable sort of 8- and 16-bit keys is a radix sort, so each pass
+    is O(len).  Keys below 256 sort as 8-bit, in one byte pass instead of two.
     """
-    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    order = np.argsort(keys.astype(np.uint8 if n <= 256 else np.uint16), kind="stable")
     shift = 16
     while (n - 1) >> shift > 0:
         digit = (keys[order] >> shift).astype(np.uint16)
@@ -222,10 +254,13 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
     """Block-diagonal union: the nodes of ``graphs[i]`` follow those of the graphs before it.
 
     Each graph's codes are re-based to the union's node count and offset,
-    and concatenated; they stay ascending because the blocks do.
+    and concatenated; they stay ascending because the blocks do.  The union
+    of one graph is that graph itself: graphs are immutable.
     """
     if not graphs:
         raise ValueError("disjoint_union needs at least one graph")
+    if len(graphs) == 1:
+        return graphs[0]
     node_offsets = np.cumsum([0] + [g.n for g in graphs])
     total = np.int64(node_offsets[-1])
     parts = []

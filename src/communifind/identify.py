@@ -195,10 +195,9 @@ class PhaseSeconds:
     ``scoring`` is the method's scoring of the hosts without generation, and
     ``selection`` picks the candidates: top-k for the pipeline, the
     two-means split for the baseline.  A host leaves generation as sorted
-    edge codes; its adjacency rows (CSR) are built while it is scored, once
-    per Krylov stack for the pipeline and once per host for the baseline,
-    so that build counts under ``scoring``, not under ``generation`` as it
-    did when every host built its own CSR.
+    edge codes; its adjacency rows are built while it is scored, so that
+    build counts under ``scoring``: the pipeline builds degree-ordered rows
+    once per Krylov stack, and the baseline a node-order CSR once per host.
     """
 
     generation: float = 0.0

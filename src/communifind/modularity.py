@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse
 
-from .expm import NumericalBreakdownError, _adjacency_csr
+from .expm import NumericalBreakdownError
 from .graphs import Graph
 from .identify import ExperimentConfig, RunResult, _map_runs
 from .rng import SeededRng
@@ -100,6 +100,11 @@ class EigenScan:
     seed_node: int
     coords: np.ndarray
     eigenvalues: np.ndarray
+
+
+def _adjacency_csr(g: Graph) -> scipy.sparse.csr_matrix:
+    data = np.ones(g.indices.size)
+    return scipy.sparse.csr_matrix((data, g.indices, g.indptr), shape=(g.n, g.n))
 
 
 def modularity_matrix(g: Graph) -> ModularityMatrix:

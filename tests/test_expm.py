@@ -362,3 +362,43 @@ def test_values_bit_identical_across_calls():
     again = expm_action(h, np.ones(h.n), blocks=blocks)
     assert np.array_equal(first.value, again.value)
     assert (first.est_error, first.iterations) == (again.est_error, again.iterations)
+
+
+# =====================================================================
+# The degree-ordered product
+# =====================================================================
+
+
+def _star(leaves: int) -> Graph:
+    # node 0 joined to every other node: codes 0 * n + v
+    return Graph._from_codes(leaves + 1, np.arange(1, leaves + 1, dtype=np.int64))
+
+
+_PRODUCT_GRAPHS = {
+    "er": lambda: generate(GraphGenSpec(model="er", n=1024, avg_degree=2.0, seed=3)),
+    "sw": lambda: generate(GraphGenSpec(model="sw", n=1024, k=40, beta=0.1, seed=3)),
+    "ba": lambda: generate(GraphGenSpec(model="ba", n=1024, m=10, seed=3)),
+    "er-stack-8": lambda: _er_stack()[0],
+    "edgeless": lambda: Graph.from_pairs(7, []),
+    "one-node": lambda: Graph.from_pairs(1, []),
+    "isolated-nodes": lambda: Graph.from_pairs(9, [(1, 7), (7, 3), (3, 1), (7, 8)]),
+    # the center's degree and the leaves' labels pass 16 bits
+    "star-70000": lambda: _star(70_000),
+}
+
+
+@pytest.mark.parametrize("make", _PRODUCT_GRAPHS.values(), ids=_PRODUCT_GRAPHS.keys())
+def test_degree_ordered_product_is_node_order_product(make):
+    g = make()
+    indptr, indices, rank = g._degree_ordered_csr()
+    a = scipy.sparse.csr_matrix((np.ones(indices.size), indices, indptr), shape=(g.n, g.n))
+    node_order = scipy.sparse.csr_matrix((np.ones(g.indices.size), g.indices, g.indptr), shape=(g.n, g.n))
+    x = np.random.default_rng(1).standard_normal(g.n)
+    assert np.array_equal((a @ x).take(rank), node_order @ x)
+    # row rank[u] is node u's row, with its neighbors in ascending order
+    back = a[rank]
+    assert np.array_equal(back.indptr, g.indptr) and np.array_equal(back.indices, g.indices)
+    # rows ascend by degree, ties by node id
+    nodes = np.argsort(rank)
+    assert np.array_equal(np.sort(rank), np.arange(g.n))
+    assert np.array_equal(nodes, np.lexsort((np.arange(g.n), g.degrees)))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -124,6 +125,15 @@ def test_edge_codes_are_the_stored_read_only_array():
     assert not _has_csr(g)
 
 
+def test_pickle_round_trip_is_read_only_without_cached_rows():
+    g = generate(mixed_model_spec(4))
+    g.indptr
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and back is not g
+    assert not _has_csr(back) and not back.edge_codes().flags.writeable
+    assert np.array_equal(back.indices, g.indices) and not back.indices.flags.writeable
+
+
 def test_disjoint_union_csr_is_offset_concatenation():
     # a 1-node graph first, an edgeless graph between two generated ones
     graphs = [
@@ -156,7 +166,7 @@ def test_disjoint_union_is_block_diagonal():
     assert np.array_equal(dense[:3, :3], a.to_dense())
     assert np.array_equal(dense[3:7, 3:7], b.to_dense())
     assert dense[:3, 3:].sum() == 0 and dense[3:7, 7:].sum() == 0
-    assert disjoint_union([a]) == a
+    assert disjoint_union([a]) is a
     with pytest.raises(ValueError):
         disjoint_union([])
 

@@ -133,6 +133,22 @@ def test_generated_and_embedded_graphs_build_no_csr(index):
     assert "_csr" not in vars(background) and "_csr" not in vars(host)
 
 
+def test_pipeline_builds_no_node_order_rows(monkeypatch):
+    # 9 backgrounds of 1024 nodes: a stack of eight and a stack of one
+    built = []
+    node_order_rows = Graph._csr.func
+    monkeypatch.setattr(Graph, "_csr", property(lambda g: built.append(g) or node_order_rows(g)))
+    cfg = ExperimentConfig(
+        background=GraphGenSpec(model="er", n=1024, avg_degree=2.0),
+        target=canonical_sparse_target(0),
+        num_backgrounds=9,
+        runs=2,
+        k=20,
+    )
+    assert len(run_pipeline(cfg)) == 2
+    assert built == []
+
+
 def test_embed_composes_draw_and_apply():
     background = Graph.from_pairs(50, [(i, i + 1) for i in range(49)])
     target = clique(5)
