@@ -10,16 +10,18 @@ Two walk-based centralities of the adjacency exponential:
 Scores from several background realizations are combined by plain entrywise
 summation — never averaged — so that consistent structure reinforces while
 incidental background fluctuations wash out.  Every total-communicability
-score goes through :func:`summed_total_communicability`, the one place that
-decides how graphs are stacked into Krylov solves and in what order their
-blocks are summed; :func:`total_communicability` is its one-graph case.
+score comes from one function, ``_summed_stacks``: one Krylov solve per
+stack of up to :func:`hosts_per_stack` equal-size graphs, with the blocks
+summed in order.  The pipeline builds its hosts as such stacks and scores
+them directly; :func:`summed_total_communicability` stacks graphs given one
+by one, and :func:`total_communicability` is its one-graph case.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence, TextIO
+from typing import Iterable, Iterator, Literal, Sequence, TextIO
 
 import numpy as np
 
@@ -32,6 +34,7 @@ __all__ = [
     "subgraph_centrality",
     "total_communicability",
     "summed_total_communicability",
+    "hosts_per_stack",
     "accumulate",
     "write_scores_csv",
 ]
@@ -44,7 +47,7 @@ _SC_MAX_NODES = 512
 # fixed overhead (the tridiagonal eigensolver and the Python of the loop),
 # which stacking shares across the stack; the cap bounds the memory of a
 # solve.  Stacks of 10 and 20 backgrounds measured within a few percent of 8.
-# Larger graphs are scored one at a time.
+# Larger graphs are scored one at a time.  Read through hosts_per_stack.
 _STACK_NODES = 8192
 
 
@@ -105,6 +108,15 @@ def total_communicability(g: Graph, params: KrylovParams = KrylovParams()) -> Sc
     return ScoreVector(scores=summed_total_communicability([g], params).scores, kind="tc", num_backgrounds=1)
 
 
+def hosts_per_stack(n: int) -> int:
+    """Graphs of ``n`` nodes per Krylov solve: as many as fit in ``_STACK_NODES``, at least one.
+
+    Read at call time, so the graphs a run builds per stack and the blocks
+    scored per solve follow one value of ``_STACK_NODES``.
+    """
+    return max(1, _STACK_NODES // max(n, 1))
+
+
 def summed_total_communicability(
     graphs: Iterable[Graph], params: KrylovParams = KrylovParams()
 ) -> ScoreVector:
@@ -112,8 +124,8 @@ def summed_total_communicability(
 
     exp of the block-diagonal matrix of the graphs acts on each block alone,
     so the blocks of exp(blockdiag(A_1..A_N)) 1 are the per-graph row sums.
-    The graphs are consumed lazily, in stacks of up to ``_STACK_NODES``
-    nodes, and one Krylov solve on the :func:`disjoint_union` of a stack
+    The graphs are consumed lazily, in stacks of up to
+    :func:`hosts_per_stack` graphs, and one Krylov solve on the :func:`disjoint_union` of a stack
     scores all of its graphs; no graph of a stack is drawn before the solve
     of the previous stack.  ``tol`` must hold on every block, so each graph's
     scores converge as in its own solve; an input spanning several stacks
@@ -128,20 +140,41 @@ def summed_total_communicability(
     first = next(graphs, None)
     if first is None:
         raise ValueError("summed_total_communicability needs at least one graph")
-    n = first.n
-    per_stack = max(1, _STACK_NODES // max(n, 1))
-    scores = np.zeros(n)
+    per_stack = hosts_per_stack(first.n)
+
+    def stacks() -> Iterator[tuple[Graph, int]]:
+        stack = [first, *itertools.islice(graphs, per_stack - 1)]
+        while stack:
+            if any(g.n != first.n for g in stack):
+                raise ValueError("all graphs must have the same node count")
+            yield disjoint_union(stack), len(stack)
+            stack = list(itertools.islice(graphs, per_stack))
+
+    return _summed_stacks(stacks(), params)
+
+
+def _summed_stacks(stacks: Iterable[tuple[Graph, int]], params: KrylovParams) -> ScoreVector:
+    """:func:`summed_total_communicability` of stacks given as ``(union, blocks)``.
+
+    Each union holds ``blocks`` equal graphs of the same node count, numbered
+    one after another; it gets one Krylov solve, and its blocks are summed in
+    order.
+    """
+    scores = None
     count = 0
-    stack = [first, *itertools.islice(graphs, per_stack - 1)]
-    while stack:
-        if any(g.n != n for g in stack):
+    for union, blocks in stacks:
+        n = union.n // blocks
+        if scores is None:
+            scores = np.zeros(n)
+        elif n != scores.size:
             raise ValueError("all graphs must have the same node count")
-        result = expm_action(disjoint_union(stack), np.ones(n * len(stack)), params, blocks=len(stack))
+        result = expm_action(union, np.ones(union.n), params, blocks=blocks)
         if not result.converged:
             raise KrylovNotConvergedError(result.est_error, params.tol, result.iterations)
-        scores += result.value.reshape(len(stack), n).sum(axis=0)
-        count += len(stack)
-        stack = list(itertools.islice(graphs, per_stack))
+        scores += result.value.reshape(blocks, n).sum(axis=0)
+        count += blocks
+    if scores is None:
+        raise ValueError("summed_total_communicability needs at least one graph")
     return ScoreVector(scores=scores, kind="tc_sum", num_backgrounds=count)
 
 

@@ -4,15 +4,17 @@ Graphs are simple (no self-loops, no duplicate edges), undirected and
 unweighted, with dense 0-based node labels.  A graph stores its edges as
 sorted canonical codes ``u * n + v`` (u < v): the generators emit them in
 that form, overlaying a target merges codes, and a disjoint union
-concatenates them.  The compressed sparse rows, with each neighbor list
-sorted ascending for deterministic iteration order downstream, are built
-from the codes once, when something first reads them: in the baseline, once
-per host.  A Krylov solve builds its own rows from the codes instead, in
+concatenates them.  :func:`generate` also builds a stack of graphs from
+several seeds as their disjoint union, ER ones in one vectorized pass.  The
+compressed sparse rows, with each neighbor list sorted ascending for
+deterministic iteration order downstream, are built from the codes once,
+when something first reads them: in the baseline, once per host.  A Krylov solve builds its own rows from the codes instead, in
 degree order, so a run of the pipeline builds no node-order rows at all.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from collections import deque
@@ -21,7 +23,7 @@ from typing import Iterable, Iterator, Literal, Sequence, TextIO
 
 import numpy as np
 
-from .rng import SeededRng
+from .rng import SeededRng, geometric_gaps, stacked_uniforms
 
 __all__ = [
     "Graph",
@@ -350,8 +352,25 @@ class GraphGenSpec:
         return float(self.k)
 
 
-def generate(spec: GraphGenSpec) -> Graph:
-    """Dispatch to the generator selected by ``spec.model``."""
+def generate(spec: GraphGenSpec, seeds: Iterable[int] | None = None) -> Graph:
+    """The graph of ``spec`` or, given ``seeds``, a stack of graphs of ``spec``.
+
+    ``generate(spec)`` dispatches to the generator selected by
+    ``spec.model``.  ``generate(spec, seeds)`` is the :func:`disjoint_union`
+    of ``generate(replace(spec, seed=s))`` over ``seeds``, byte for byte.  An
+    ER stack of two or more seeds with 0 < p < 1 is generated in one
+    vectorized pass (:func:`_er_stack`); every other stack unions its
+    per-seed graphs.
+    """
+    if seeds is None:
+        return _generate_one(spec)
+    seeds = list(seeds)
+    if spec.model == "er" and len(seeds) >= 2 and 0.0 < spec.avg_degree / (spec.n - 1) < 1.0:
+        return _er_stack(spec, seeds)
+    return disjoint_union([_generate_one(dataclasses.replace(spec, seed=s)) for s in seeds])
+
+
+def _generate_one(spec: GraphGenSpec) -> Graph:
     if spec.model == "er":
         return gen_erdos_renyi(spec)
     if spec.model == "ba":
@@ -363,6 +382,23 @@ def _er_block_margin(mean: float) -> float:
     """Gaps drawn in the first ER block beyond the ``mean`` successes expected:
     six standard deviations of the edge count, and 16 for small means."""
     return 6.0 * math.sqrt(mean) + 16.0
+
+
+def _er_first_block(total: int, p: float) -> int:
+    """Gaps in the first ER block over ``total`` pairs: the expected successes plus the margin."""
+    return math.ceil(total * p + _er_block_margin(total * p))
+
+
+def _row_starts(n: int) -> np.ndarray:
+    """Linear index of pair (i, i + 1) in the lexicographic enumeration of the pairs of n nodes."""
+    i = np.arange(n, dtype=np.int64)
+    return i * (n - 1) - i * (i - 1) // 2
+
+
+def _decode_pairs(row_start: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints ``(us, vs)`` of the pairs at linear ``positions``, over ascending ``row_start``."""
+    us = np.searchsorted(row_start, positions, side="right") - 1
+    return us, positions - row_start[us] + us + 1
 
 
 def gen_erdos_renyi(spec: GraphGenSpec) -> Graph:
@@ -392,7 +428,7 @@ def gen_erdos_renyi(spec: GraphGenSpec) -> Graph:
     total = n * (n - 1) // 2
     chunks = []
     last = -1  # linear index into the lexicographic pair enumeration
-    block = math.ceil(total * p + _er_block_margin(total * p))
+    block = _er_first_block(total, p)
     while last < total:
         gaps = np.minimum(rng.geometric_skips(p, block), total)
         positions = last + np.cumsum(gaps + 1)
@@ -401,11 +437,44 @@ def gen_erdos_renyi(spec: GraphGenSpec) -> Graph:
         block = math.ceil((total - 1 - last) * p) + 1
     positions = np.concatenate(chunks)
     positions = positions[: np.searchsorted(positions, total)]
-    i = np.arange(n, dtype=np.int64)
-    row_start = i * (n - 1) - i * (i - 1) // 2  # linear index of pair (i, i + 1)
-    us = np.searchsorted(row_start, positions, side="right") - 1
-    vs = positions - row_start[us] + us + 1
+    us, vs = _decode_pairs(_row_starts(n), positions)
     return Graph._from_codes(n, us * n + vs)  # lexicographic enumeration => already sorted
+
+
+def _er_stack(spec: GraphGenSpec, seeds: list[int]) -> Graph:
+    """``generate(spec, seeds)`` for ER with 0 < p < 1, in one 2-D pass.
+
+    Row ``j`` of one ``(len(seeds), block)`` array of gaps is the first block
+    of :func:`gen_erdos_renyi` for ``seeds[j]``: the same uniforms
+    (:func:`~communifind.rng.stacked_uniforms`), the same gap expression and
+    the same cumulative sum, run along axis 1.  One search over the row
+    starts decodes the pairs of every row, and block ``j``'s endpoints are
+    shifted by ``j * n`` into the union's node numbering.  A row whose first
+    block ends short of the last pair is generated by :func:`gen_erdos_renyi`
+    for its own seed, so no graph depends on the batching.
+    """
+    n = spec.n
+    p = spec.avg_degree / (n - 1)
+    total = n * (n - 1) // 2
+    blocks = len(seeds)
+    size = blocks * n
+    gaps = np.minimum(geometric_gaps(stacked_uniforms(seeds, _er_first_block(total, p)), p), total)
+    positions = np.cumsum(gaps + 1, axis=1) - 1
+    short = positions[:, -1] < total
+    keep = positions < total
+    keep[short] = False
+    us, vs = _decode_pairs(_row_starts(n), positions[keep])
+    shift = np.repeat(np.arange(0, size, n, dtype=np.int64), np.count_nonzero(keep, axis=1))
+    us += shift
+    vs += shift
+    codes = us * size + vs
+    if short.any():
+        parts = [codes]
+        for j in np.flatnonzero(short).tolist():
+            us, vs = np.divmod(gen_erdos_renyi(dataclasses.replace(spec, seed=seeds[j])).edge_codes(), n)
+            parts.append((us + j * n) * size + (vs + j * n))
+        codes = np.sort(np.concatenate(parts))
+    return Graph._from_codes(size, codes)
 
 
 _FEED_BLOCK = 4096  # uniforms per refill of a sequential draw loop

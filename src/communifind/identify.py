@@ -2,9 +2,11 @@
 
 One experiment run draws a single random embedding of the target, overlays
 it on ``num_backgrounds`` independently generated background graphs, sums
-the per-node total-communicability scores across those realizations with
-:func:`~communifind.communicability.summed_total_communicability`, which
-takes the hosts as they are built, and selects the top-k nodes.  The
+the per-node total-communicability scores across those realizations, and
+selects the top-k nodes.  The hosts are built as they are scored, one Krylov
+stack at a time: one :func:`~communifind.graphs.generate` call makes a
+stack's backgrounds as one union graph, one :func:`apply_embedding` call
+overlays the target on all of them, and one solve scores the stack.  The
 identification rate is the fraction of target nodes recovered.  Seeds are
 derived deterministically from the base seed and the run index, so results
 are reproducible and independent of how runs are scheduled across worker
@@ -17,7 +19,6 @@ here and the modularity baseline pass their own score and select steps.
 from __future__ import annotations
 
 import atexit
-import dataclasses
 import functools
 import threading
 import time
@@ -26,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .communicability import ScoreVector, summed_total_communicability
+from .communicability import ScoreVector, _summed_stacks, hosts_per_stack
 from .expm import KrylovParams
 from .graphs import Graph, GraphGenSpec, TargetSpec, generate
 from .rng import SeededRng, derive_seed
@@ -103,24 +104,35 @@ def draw_embedding(n: int, t: int, seed: int) -> Embedding:
     return Embedding(map=np.asarray(rng.sample(n, t), dtype=np.int64))
 
 
-def apply_embedding(background: Graph, target: TargetSpec, embedding: Embedding) -> Graph:
+def apply_embedding(background: Graph, target: TargetSpec, embedding: Embedding, blocks: int = 1) -> Graph:
     """Union of the background with the target's edges mapped through the embedding.
 
+    With ``blocks > 1`` the background is a stack of that many equal parts,
+    numbered one after another (as :func:`~communifind.graphs.generate`
+    builds them from several seeds), and the target is overlaid on every
+    part through the same embedding: the result is the
+    :func:`~communifind.graphs.disjoint_union` of the parts' overlays.
     Mapped target edges that already exist in the background merge silently
-    (the union is still a simple graph); mapped node degrees rise accordingly.
-    The codes of the at most t(t-1)/2 mapped edges are merged into the
-    background's sorted edge codes at binary-searched positions, so assembly
-    is O(E) with no sort, and the host builds no CSR.
+    (the union is still a simple graph); mapped node degrees rise
+    accordingly.  The codes of the at most ``blocks * t(t-1)/2`` mapped edges
+    are merged into the background's sorted edge codes at binary-searched
+    positions in one pass, so assembly is O(E) with no sort, and the host
+    builds no CSR.
     """
     if embedding.t != target.t:
         raise ValueError("embedding size does not match target size")
-    if embedding.map.size and not 0 <= int(embedding.map.min()) <= int(embedding.map.max()) < background.n:
+    if blocks < 1 or background.n % blocks:
+        raise ValueError(f"cannot split {background.n} nodes into {blocks} equal blocks")
+    n = background.n // blocks
+    if embedding.map.size and not 0 <= int(embedding.map.min()) <= int(embedding.map.max()) < n:
         raise ValueError("embedding maps outside the background graph")
     tedges = np.asarray(target.edges, dtype=np.int64).reshape(-1, 2)
     mapped_u = embedding.map[tedges[:, 0]]
     mapped_v = embedding.map[tedges[:, 1]]
-    codes = np.minimum(mapped_u, mapped_v) * np.int64(background.n) + np.maximum(mapped_u, mapped_v)
-    return background._insert_codes(codes)
+    offsets = np.arange(0, background.n, n, dtype=np.int64)[:, None]
+    lo = np.minimum(mapped_u, mapped_v) + offsets
+    hi = np.maximum(mapped_u, mapped_v) + offsets
+    return background._insert_codes(lo * np.int64(background.n) + hi)
 
 
 def embed(background: Graph, target: TargetSpec, seed: int) -> tuple[Graph, Embedding]:
@@ -192,6 +204,7 @@ class PhaseSeconds:
     """Wall time of one run's phases.
 
     ``generation`` builds the hosts (background generation and embedding),
+    timed per Krylov stack for the pipeline and per host for the baseline,
     ``scoring`` is the method's scoring of the hosts without generation, and
     ``selection`` picks the candidates: top-k for the pipeline, the
     two-means split for the baseline.  A host leaves generation as sorted
@@ -241,35 +254,49 @@ def background_seed(base_seed: int, run_index: int, background_index: int) -> in
 
 
 def _hosts(
-    cfg: ExperimentConfig, run_index: int, embedding: Embedding, times: PhaseSeconds
-) -> Iterator[Graph]:
-    """The run's host graphs, built on demand: each background with the target
-    overlaid through ``embedding``.  Build times add to ``times.generation``."""
-    for b in range(cfg.num_backgrounds):
+    cfg: ExperimentConfig, run_index: int, embedding: Embedding, times: PhaseSeconds, per_stack: int
+) -> Iterator[tuple[Graph, int]]:
+    """The run's host graphs, built on demand in stacks of up to ``per_stack``.
+
+    A stack is the union of consecutive backgrounds, made by one
+    :func:`~communifind.graphs.generate` call, with the target overlaid on
+    each of them through ``embedding`` by one :func:`apply_embedding` call;
+    it is yielded with its number of hosts.  Build times add to
+    ``times.generation``, one stack at a time.
+    """
+    for start in range(0, cfg.num_backgrounds, per_stack):
         t0 = time.perf_counter()
-        spec = dataclasses.replace(cfg.background, seed=background_seed(cfg.base_seed, run_index, b))
-        host = apply_embedding(generate(spec), cfg.target, embedding)
+        seeds = [
+            background_seed(cfg.base_seed, run_index, b)
+            for b in range(start, min(start + per_stack, cfg.num_backgrounds))
+        ]
+        stack = apply_embedding(generate(cfg.background, seeds), cfg.target, embedding, blocks=len(seeds))
         times.generation += time.perf_counter() - t0
-        yield host
+        yield stack, len(seeds)
 
 
 def _run(
     cfg: ExperimentConfig,
     run_index: int,
-    score: Callable[[Iterator[Graph]], Any],
+    score: Callable[[Iterator], Any],
     select: Callable[[Any], np.ndarray],
+    stacked: bool = False,
 ) -> RunResult:
     """One run of a method: ``select(score(hosts))`` names the candidates.
 
-    ``score`` consumes the hosts as it goes, so its time less the hosts'
-    build time is the scoring time.
+    ``hosts`` are the run's host graphs one by one or, when ``stacked``,
+    stacks of :func:`~communifind.communicability.hosts_per_stack` hosts as
+    ``(union, blocks)`` pairs.  ``score`` consumes them as it goes, so its
+    time less the hosts' build time is the scoring time.
     """
     times = PhaseSeconds()
     embedding = draw_embedding(
         cfg.background.n, cfg.target.t, embedding_seed(cfg.base_seed, run_index)
     )
+    per_stack = hosts_per_stack(cfg.background.n) if stacked else 1
     t0 = time.perf_counter()
-    scored = score(_hosts(cfg, run_index, embedding, times))
+    stacks = _hosts(cfg, run_index, embedding, times, per_stack)
+    scored = score(stacks if stacked else (host for host, _ in stacks))
     t1 = time.perf_counter()
     candidates = select(scored)
     times.selection = time.perf_counter() - t1
@@ -314,10 +341,11 @@ def _drop_pool() -> None:
 def _map_runs(
     cfg: ExperimentConfig,
     jobs: int,
-    score: Callable[[Iterator[Graph]], Any],
+    score: Callable[[Iterator], Any],
     select: Callable[[Any], np.ndarray],
+    stacked: bool = False,
 ) -> list[RunResult]:
-    """``_run(cfg, i, score, select)`` for every run index i, in run order.
+    """``_run(cfg, i, score, select, stacked)`` for every run index i, in run order.
 
     With ``jobs == 1`` or a single run, the runs execute inline.  Otherwise
     they go to a module-wide pool of min(jobs, runs) worker processes, one
@@ -339,7 +367,7 @@ def _map_runs(
     """
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
-    run = functools.partial(_run, cfg, score=score, select=select)
+    run = functools.partial(_run, cfg, score=score, select=select, stacked=stacked)
     if jobs == 1 or cfg.runs == 1:
         return [run(i) for i in range(cfg.runs)]
     return _pool_map(run, cfg.runs, min(jobs, cfg.runs))
@@ -355,8 +383,9 @@ def run_pipeline(cfg: ExperimentConfig, *, jobs: int = 1) -> list[RunResult]:
     return _map_runs(
         cfg,
         jobs,
-        score=functools.partial(summed_total_communicability, params=cfg.krylov),
+        score=functools.partial(_summed_stacks, params=cfg.krylov),
         select=functools.partial(top_k, k=cfg.effective_k),
+        stacked=True,
     )
 
 

@@ -9,17 +9,20 @@ is one numpy expression and yields the same values as the same number of
 scalar draws.  Pinning the algorithm (rather than delegating to a library
 generator whose stream may change between releases) makes every seed
 reproduce bit-identically across reruns, worker counts, versions and
-platforms; only :meth:`SeededRng.geometric_skips` goes through the
-platform's ``log``, whose last ulp may differ between math libraries.
+platforms; only the geometric gaps (:meth:`SeededRng.geometric_skips` and
+:func:`geometric_gaps`) go through the platform's ``log``, whose last ulp may
+differ between math libraries.  The draws of several seeds at the same
+counters are one 2-D expression as well (:func:`stacked_uniforms`).
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["SeededRng", "derive_seed", "GENERATOR"]
+__all__ = ["SeededRng", "derive_seed", "geometric_gaps", "stacked_uniforms", "GENERATOR"]
 
 GENERATOR = "splitmix64-counter"  # named in reports, so streams can be told apart
 
@@ -35,6 +38,48 @@ def _mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
     z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
     return z ^ (z >> 31)
+
+
+def _mix_array(z: np.ndarray) -> np.ndarray:
+    """:func:`_mix64` applied in place to a uint64 array of counters; returns it."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MUL1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MUL2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _to_unit(z: np.ndarray) -> np.ndarray:
+    """Uniforms in [0, 1) from the top 53 bits of raw outputs, as :meth:`SeededRng.random`."""
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def stacked_uniforms(seeds: Sequence[int], count: int) -> np.ndarray:
+    """The first ``count`` uniforms of each seed, one row per seed.
+
+    Row ``j`` equals ``SeededRng(seeds[j]).uniforms(count)`` bit for bit:
+    the counters 1..count of every seed, mixed in one 2-D pass.
+    """
+    if count < 0:
+        raise ValueError(f"draw count must be nonnegative, got {count}")
+    bases = np.array([s & _MASK64 for s in seeds], dtype=np.uint64)
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    return _to_unit(_mix_array(bases[:, None] + z))  # wraps modulo 2**64 like the scalar path
+
+
+def geometric_gaps(u: np.ndarray, p: float) -> np.ndarray:
+    """Failures before the first success of Bernoulli(p) processes, one per uniform.
+
+    The inverse-CDF draw ``int(log(1 - u) / log(1 - p))`` for uniforms ``u``
+    in [0, 1), elementwise over an array of any shape, capped at 2**62 so
+    that a tiny ``p`` cannot overflow int64.  Requires 0 < p < 1.
+    """
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"geometric skips need 0 < p < 1, got {p}")
+    skips = np.log(1.0 - u) / math.log1p(-p)
+    return np.minimum(skips, 2.0**62).astype(np.int64)
 
 
 def derive_seed(seed: int, *salts: int) -> int:
@@ -80,12 +125,7 @@ class SeededRng:
         z *= np.uint64(_GOLDEN)
         z += np.uint64(self._seed)
         self._count += count
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_MUL1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_MUL2)
-        z ^= z >> np.uint64(31)
-        return z
+        return _mix_array(z)
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 random mantissa bits."""
@@ -93,20 +133,18 @@ class SeededRng:
 
     def uniforms(self, count: int) -> np.ndarray:
         """The next ``count`` uniforms in [0, 1), equal to that many :meth:`random` calls."""
-        return (self.u64s(count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return _to_unit(self.u64s(count))
 
     def geometric_skips(self, p: float, count: int) -> np.ndarray:
         """Failures before the first success of ``count`` Bernoulli(p) processes.
 
-        Inverse-CDF draws ``int(log(u) / log(1 - p))`` from one block of
-        uniforms ``u`` in (0, 1], used for gap-skipping enumeration of sparse
-        Bernoulli processes.  Requires 0 < p < 1.  Counts are capped at 2**62
-        so that a tiny ``p`` cannot overflow int64.
+        :func:`geometric_gaps` of the next block of ``count`` uniforms, used
+        for gap-skipping enumeration of sparse Bernoulli processes.  Requires
+        0 < p < 1.
         """
         if not 0.0 < p < 1.0:
             raise ValueError(f"geometric skips need 0 < p < 1, got {p}")
-        skips = np.log(1.0 - self.uniforms(count)) / math.log1p(-p)
-        return np.minimum(skips, 2.0**62).astype(np.int64)
+        return geometric_gaps(self.uniforms(count), p)
 
     def randrange(self, bound: int) -> int:
         """Uniform integer in [0, bound) via unbiased bitmask rejection."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 import pickle
@@ -278,6 +279,71 @@ def test_er_first_block_reaches_the_last_pair(monkeypatch):
         calls.clear()
         g = gen_erdos_renyi(GraphGenSpec(model="er", n=1024, avg_degree=2.0, seed=seed))
         assert len(calls) == 1 and calls[0] > g.edge_count
+
+
+def _per_seed_union(spec: GraphGenSpec, seeds: list[int]) -> Graph:
+    return disjoint_union([generate(dataclasses.replace(spec, seed=s)) for s in seeds])
+
+
+def _assert_same_bytes(got: Graph, want: Graph) -> None:
+    assert got.n == want.n
+    assert got.edge_codes().tobytes() == want.edge_codes().tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec, stack",
+    [
+        (GraphGenSpec(model="er", n=1024, avg_degree=2.0), 8),
+        (GraphGenSpec(model="er", n=2048, avg_degree=2.0), 3),  # the golden pipeline's shape
+        (GraphGenSpec(model="er", n=1024, avg_degree=2.0), 1),
+        (GraphGenSpec(model="er", n=200, avg_degree=0.0), 4),
+        (GraphGenSpec(model="er", n=40, avg_degree=39.0), 4),
+        (GraphGenSpec(model="er", n=300, avg_degree=150.0), 5),
+        (GraphGenSpec(model="sw", n=300, k=10, beta=0.2), 4),
+        (GraphGenSpec(model="ba", n=300, m=3), 4),
+    ],
+    ids=["er-8", "er-3", "er-1", "er-empty", "er-complete", "er-dense", "sw-4", "ba-4"],
+)
+def test_stack_equals_union_of_per_seed_graphs(spec, stack):
+    for first in (0, 8, 2**64 - 2):
+        seeds = [(first + 7919 * j) & 0xFFFFFFFFFFFFFFFF for j in range(stack)]
+        _assert_same_bytes(generate(spec, seeds), _per_seed_union(spec, seeds))
+
+
+@pytest.mark.parametrize("n,avg,seeds", [(60, 0.9 * 59, 20), (2000, 0.004, 50)])
+def test_er_stack_short_rows_take_the_per_seed_path(n, avg, seeds, monkeypatch):
+    # the specs of the refill test, without margin: about half the rows of a
+    # stack end short of the last pair and are generated for their own seed
+    monkeypatch.setattr(graphs_module, "_er_block_margin", lambda mean: 0.0)
+    per_seed = []
+    er = graphs_module.gen_erdos_renyi
+    monkeypatch.setattr(graphs_module, "gen_erdos_renyi", lambda spec: per_seed.append(spec.seed) or er(spec))
+    spec = GraphGenSpec(model="er", n=n, avg_degree=avg)
+    p = avg / (n - 1)
+    total = n * (n - 1) // 2
+    first_block = math.ceil(total * p)
+    # a row is short when its first block's last position falls before the last pair
+    last = [np.minimum(SeededRng(s).geometric_skips(p, first_block), total).sum() + first_block - 1 for s in range(seeds)]
+    short = [s for s in range(seeds) if last[s] < total]
+    assert 0 < len(short) < seeds
+    for first in range(0, seeds, 5):
+        stack = list(range(first, first + 5))
+        got = generate(spec, stack)
+        _assert_same_bytes(got, disjoint_union([er(dataclasses.replace(spec, seed=s)) for s in stack]))
+    assert per_seed == short  # the short rows, and only they, took the per-seed path
+
+
+def test_er_stack_first_block_reaches_the_last_pair(monkeypatch):
+    # as for one graph, the margin makes a short row rare: 20 stacks of 8 at
+    # n=1024 take the stacked pass alone
+    per_seed = []
+    er = graphs_module.gen_erdos_renyi
+    monkeypatch.setattr(graphs_module, "gen_erdos_renyi", lambda spec: per_seed.append(spec) or er(spec))
+    spec = GraphGenSpec(model="er", n=1024, avg_degree=2.0)
+    for stack in range(20):
+        g = generate(spec, range(8 * stack, 8 * stack + 8))
+        assert g.n == 8 * 1024 and g.edge_count > 0
+    assert per_seed == []
 
 
 def test_er_spec_validation():

@@ -35,7 +35,8 @@ from communifind import (
     top_k,
     total_communicability,
 )
-from communifind import communicability, identify
+from communifind import communicability, identify, modularity
+from communifind import graphs as graphs_module
 from communifind.identify import background_seed, embedding_seed
 from conftest import mixed_model_spec, validate_graph
 
@@ -83,6 +84,41 @@ def test_apply_embedding_overlap_collapses():
     e = Embedding(map=np.array([1, 0]))
     host = apply_embedding(background, target, e)
     assert host.edge_count == 1  # already present, union stays simple
+
+
+def test_stacked_embedding_equals_union_of_per_block_overlays():
+    # one call overlays the target on every block of a stack; in block 1 the
+    # mapped edge (2, 3) is already present and merges
+    target = TargetSpec(3, ((0, 1), (1, 2)))
+    e = Embedding(map=np.array([4, 2, 3]))
+    parts = [Graph.from_pairs(6, [(0, 1)]), Graph.from_pairs(6, [(2, 3), (4, 5)]), Graph.from_pairs(6, [])]
+    stacked = apply_embedding(disjoint_union(parts), target, e, blocks=3)
+    want = disjoint_union([apply_embedding(g, target, e) for g in parts])
+    assert stacked.n == 18 and stacked.edge_codes().tobytes() == want.edge_codes().tobytes()
+    assert stacked.edge_count == 3 + 3 + 2  # the mapped (2, 3) merged in block 1
+    assert apply_embedding(disjoint_union(parts), TargetSpec(3, ()), e, blocks=3) == disjoint_union(parts)
+
+
+def test_stacked_embedding_matches_per_host_assembly():
+    spec = GraphGenSpec(model="er", n=1024, avg_degree=2.0)
+    target = canonical_sparse_target(0)
+    for run in range(4):
+        e = draw_embedding(1024, target.t, embedding_seed(3, run))
+        seeds = [background_seed(3, run, b) for b in range(8)]
+        stacked = apply_embedding(generate(spec, seeds), target, e, blocks=8)
+        hosts = [apply_embedding(generate(dataclasses.replace(spec, seed=s)), target, e) for s in seeds]
+        assert stacked.edge_codes().tobytes() == disjoint_union(hosts).edge_codes().tobytes()
+
+
+def test_stacked_embedding_rejects_uneven_blocks():
+    stack = Graph.from_pairs(10, [(0, 1)])
+    target = TargetSpec(2, ((0, 1),))
+    with pytest.raises(ValueError, match="equal blocks"):
+        apply_embedding(stack, target, Embedding(map=np.array([0, 1])), blocks=3)
+    with pytest.raises(ValueError, match="equal blocks"):
+        apply_embedding(stack, target, Embedding(map=np.array([0, 1])), blocks=0)
+    with pytest.raises(ValueError, match="outside the background graph"):
+        apply_embedding(stack, target, Embedding(map=np.array([0, 5])), blocks=2)
 
 
 @pytest.mark.parametrize("index", range(0, 60, 7))
@@ -147,6 +183,53 @@ def test_pipeline_builds_no_node_order_rows(monkeypatch):
     )
     assert len(run_pipeline(cfg)) == 2
     assert built == []
+
+
+def test_pipeline_generates_er_stacks_in_one_pass(monkeypatch):
+    # five stacks of eight 1024-node hosts per run: each stack is one
+    # generate and one apply_embedding call, with no per-seed ER graph and
+    # no union of graphs built anywhere on the run path
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or original(*a, **k))
+
+    for module, name in (
+        (graphs_module, "gen_erdos_renyi"),
+        (graphs_module, "disjoint_union"),
+        (communicability, "disjoint_union"),
+        (identify, "generate"),
+        (identify, "apply_embedding"),
+    ):
+        counted(module, name)
+    cfg = ExperimentConfig(
+        background=GraphGenSpec(model="er", n=1024, avg_degree=2.0),
+        target=canonical_sparse_target(0),
+        num_backgrounds=40,
+        runs=1,
+        k=20,
+    )
+    assert len(run_pipeline(cfg)) == 1
+    assert sorted(calls) == ["apply_embedding"] * 5 + ["generate"] * 5
+
+
+def test_baseline_receives_per_host_graphs(monkeypatch):
+    received = []
+    scan = modularity._scan
+
+    def recorded(hosts, **kwargs):
+        received.extend(hosts)
+        return scan(received, **kwargs)
+
+    monkeypatch.setattr(modularity, "_scan", recorded)
+    cfg = _small_cfg(num_backgrounds=3, runs=1)
+    run_baseline(cfg, r=5)
+    embedding = draw_embedding(cfg.background.n, cfg.target.t, embedding_seed(cfg.base_seed, 0))
+    backgrounds = [
+        generate(dataclasses.replace(cfg.background, seed=background_seed(cfg.base_seed, 0, b))) for b in range(3)
+    ]
+    assert received == [apply_embedding(g, cfg.target, embedding) for g in backgrounds]
 
 
 def test_embed_composes_draw_and_apply():

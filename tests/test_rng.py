@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from communifind.rng import SeededRng, derive_seed, _GOLDEN, _MASK64, _mix64
+from communifind.rng import SeededRng, derive_seed, geometric_gaps, stacked_uniforms, _GOLDEN, _MASK64, _mix64
 
 
 def test_splitmix64_reference_vector():
@@ -49,6 +49,32 @@ def test_block_draws_equal_scalar_continuation(seed, lead):
     assert a.uniforms(9).tolist() == [b.random() for _ in range(9)]
     assert a.next_u64() == int(b.u64s(1)[0])  # and back to scalar draws
     assert a.u64s(0).size == 0
+
+
+def test_stacked_uniforms_rows_equal_per_seed_draws():
+    # the last seed's counters wrap past 2**64 from the first draw on
+    seeds = [0, 987654321, 2**63 + 5, 2**64 - 3]
+    rows = stacked_uniforms(seeds, 41)
+    assert rows.shape == (4, 41) and rows.dtype == np.float64
+    for seed, row in zip(seeds, rows):
+        assert row.tobytes() == SeededRng(seed).uniforms(41).tobytes()
+    assert stacked_uniforms(seeds, 0).shape == (4, 0)
+    with pytest.raises(ValueError):
+        stacked_uniforms(seeds, -1)
+
+
+def test_geometric_skips_are_the_shared_gap_expression():
+    p = 2.0 / 1023
+    u = stacked_uniforms([5, 6], 300)
+    gaps = geometric_gaps(u, p)
+    assert gaps.dtype == np.int64 and gaps.shape == (2, 300)
+    assert gaps[1].tobytes() == SeededRng(6).geometric_skips(p, 300).tobytes()
+    assert gaps.tobytes() == geometric_gaps(u.ravel(), p).tobytes()  # elementwise, whatever the shape
+    # a tiny p caps the counts instead of overflowing int64
+    assert geometric_gaps(np.array([0.5, 1.0 - 2.0**-53]), 1e-300).tolist() == [2**62, 2**62]
+    for bad in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            geometric_gaps(u, bad)
 
 
 def test_same_seed_same_stream():
