@@ -14,8 +14,8 @@ A generation time covers ``generate(spec).indptr``: the generator and the
 graph's one CSR build.  A graph builds its CSR lazily, on first use, but
 generation timings taken before that change included the build, so the
 ``gen`` columns stay comparable with them.  Scoring reads no node-order
-CSR: its time includes the build of the degree-ordered rows that every
-Krylov solve makes from the edge codes.
+CSR: its time includes the build of the coordinate form of A that every
+Krylov solve makes from the edge codes, with no sort.
 
 Usage:
     python scripts/benchmark_scaling.py [--sizes 1000,10000,100000] [--repeats 3]

@@ -8,8 +8,10 @@ concatenates them.  :func:`generate` also builds a stack of graphs from
 several seeds as their disjoint union, ER ones in one vectorized pass.  The
 compressed sparse rows, with each neighbor list sorted ascending for
 deterministic iteration order downstream, are built from the codes once,
-when something first reads them: in the baseline, once per host.  A Krylov solve builds its own rows from the codes instead, in
-degree order, so a run of the pipeline builds no node-order rows at all.
+when something first reads them: in the baseline, once per host.  A Krylov
+solve multiplies by the codes' coordinate form instead (see
+:mod:`communifind.expm`), whose sums are those of the node-order rows, so a
+run of the pipeline builds no rows at all.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal, Sequence, TextIO
 
@@ -61,7 +62,7 @@ class Graph:
     ``indptr``/``indices`` hold both directions of every edge, with each
     row's neighbor list sorted ascending.  They are built from the codes on
     first use and then cached, so a graph that is only generated, overlaid,
-    stacked and scored never builds them.
+    stacked, scored and checked for connectivity never builds them.
     """
 
     n: int
@@ -141,31 +142,6 @@ class Graph:
         indices.flags.writeable = False
         indptr.flags.writeable = False
         return indptr, indices
-
-    def _degree_ordered_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(indptr, indices, rank)``: the adjacency rows in ascending degree order.
-
-        Node ``u``'s row is row ``rank[u]``; ties keep ascending node id.
-        Each row lists the neighbors' original labels ascending, so
-        ``(A_rows @ x).take(rank)`` adds the same terms in the same order as
-        a product with the node-order rows of :attr:`_csr`, bit for bit,
-        while rows of equal length run back to back.  Built from the codes
-        like ``_csr``, with every entry's sort key ``rank[row]`` in place of
-        its row, and not cached: the Krylov solve of a stack builds it once.
-        """
-        n = self.n
-        us = self._codes // n  # with the subtraction, half the time of np.divmod
-        vs = self._codes - us * n
-        rows = np.concatenate([vs, us])
-        cols = np.concatenate([us, vs])
-        deg = np.bincount(rows, minlength=n)
-        order = _stable_order(deg, int(deg.max(initial=0)) + 1)
-        rank = np.empty(n, dtype=np.intp)
-        rank[order] = np.arange(n)
-        indices = cols[_stable_order(rank[rows], n)]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg[order], out=indptr[1:])
-        return indptr, indices, rank
 
     def __reduce__(self):
         # rebuild through _from_codes, so a graph sent to or from a worker
@@ -280,19 +256,21 @@ def density(g: Graph) -> float:
 
 
 def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability check from node 0."""
-    if g.n == 0:
+    """Whether every node is reachable from every other; the empty graph is connected.
+
+    Connected components of the upper triangle read as an undirected graph,
+    straight from the codes: no CSR of the graph is built.
+    """
+    # imported here: no run of the pipeline checks connectivity
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n = g.n
+    if n == 0:
         return True
-    seen = np.zeros(g.n, dtype=bool)
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in g.neighbors(u):
-            if not seen[v]:
-                seen[v] = True
-                queue.append(int(v))
-    return bool(seen.all())
+    us, vs = np.divmod(g.edge_codes(), n)
+    upper = coo_matrix((np.ones(us.size), (us, vs)), shape=(n, n))
+    return connected_components(upper, directed=False, return_labels=False) == 1
 
 
 # =====================================================================

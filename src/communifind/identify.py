@@ -208,9 +208,10 @@ class PhaseSeconds:
     ``scoring`` is the method's scoring of the hosts without generation, and
     ``selection`` picks the candidates: top-k for the pipeline, the
     two-means split for the baseline.  A host leaves generation as sorted
-    edge codes; its adjacency rows are built while it is scored, so that
-    build counts under ``scoring``: the pipeline builds degree-ordered rows
-    once per Krylov stack, and the baseline a node-order CSR once per host.
+    edge codes; its adjacency operator is built while it is scored, so that
+    build counts under ``scoring``: the pipeline builds the coordinate form
+    of A once per Krylov stack, and the baseline a node-order CSR once per
+    host.
     """
 
     generation: float = 0.0

@@ -365,7 +365,7 @@ def test_values_bit_identical_across_calls():
 
 
 # =====================================================================
-# The degree-ordered product
+# The coordinate product
 # =====================================================================
 
 
@@ -382,23 +382,31 @@ _PRODUCT_GRAPHS = {
     "edgeless": lambda: Graph.from_pairs(7, []),
     "one-node": lambda: Graph.from_pairs(1, []),
     "isolated-nodes": lambda: Graph.from_pairs(9, [(1, 7), (7, 3), (3, 1), (7, 8)]),
-    # the center's degree and the leaves' labels pass 16 bits
+    # labels pass 16 bits: two radix passes in the node-order reference rows
     "star-70000": lambda: _star(70_000),
+    "union-2": lambda: disjoint_union(
+        [generate(GraphGenSpec(model="ba", n=1024, m=10, seed=3)), Graph.from_pairs(9, [(1, 7), (7, 3)])]
+    ),
 }
 
 
 @pytest.mark.parametrize("make", _PRODUCT_GRAPHS.values(), ids=_PRODUCT_GRAPHS.keys())
-def test_degree_ordered_product_is_node_order_product(make):
+def test_solve_operator_product_is_node_order_product(make):
+    # bit for bit: a SciPy change to the coordinate product's accumulation
+    # order fails here, before it moves any score
     g = make()
-    indptr, indices, rank = g._degree_ordered_csr()
-    a = scipy.sparse.csr_matrix((np.ones(indices.size), indices, indptr), shape=(g.n, g.n))
+    a = expm._adjacency(g)
     node_order = scipy.sparse.csr_matrix((np.ones(g.indices.size), g.indices, g.indptr), shape=(g.n, g.n))
-    x = np.random.default_rng(1).standard_normal(g.n)
-    assert np.array_equal((a @ x).take(rank), node_order @ x)
-    # row rank[u] is node u's row, with its neighbors in ascending order
-    back = a[rank]
-    assert np.array_equal(back.indptr, g.indptr) and np.array_equal(back.indices, g.indices)
-    # rows ascend by degree, ties by node id
-    nodes = np.argsort(rank)
-    assert np.array_equal(np.sort(rank), np.arange(g.n))
-    assert np.array_equal(nodes, np.lexsort((np.arange(g.n), g.degrees)))
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        x = rng.standard_normal(g.n)
+        assert np.array_equal(a @ x, node_order @ x)
+
+
+def test_solve_builds_its_operator_once(monkeypatch):
+    built = []
+    adjacency = expm._adjacency
+    monkeypatch.setattr(expm, "_adjacency", lambda g: built.append(g) or adjacency(g))
+    g, blocks = _er_stack()
+    res = expm_action(g, np.ones(g.n), blocks=blocks)
+    assert res.iterations > 1 and len(built) == 1 and built[0] is g

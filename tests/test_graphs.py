@@ -172,6 +172,15 @@ def test_disjoint_union_is_block_diagonal():
         disjoint_union([])
 
 
+def test_is_connected_on_codes_builds_no_csr():
+    block = clique(3).to_graph()
+    two = disjoint_union([block, Graph.from_pairs(4, [(0, 1), (1, 2), (2, 3)])])
+    assert not is_connected(two) and is_connected(block)
+    assert not _has_csr(two) and not _has_csr(block)
+    assert is_connected(Graph.from_pairs(0, [])) and is_connected(Graph.from_pairs(1, []))
+    assert not is_connected(Graph.from_pairs(2, []))
+
+
 def test_to_dense_symmetric_binary():
     g = generate(mixed_model_spec(5))
     a = g.to_dense()
