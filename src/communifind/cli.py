@@ -7,8 +7,8 @@ scores              per-node total-communicability scores of a graph file
 experiment          multi-background identification experiment from a config
 baseline            the same experiment driven by the modularity baseline
 
-Exit codes: 0 success, 1 runtime failure (IO, malformed data, numerics),
-2 usage or config error.
+Exit codes: 0 success, 1 runtime failure (IO, malformed or empty data,
+numerics), 2 usage or config error.
 
 Experiment configs are flat ``key = value`` text files; see CONFIG_KEYS for
 the schema.  Reports are JSON; every command appends one summary row to
@@ -348,6 +348,9 @@ def _cmd_scores(args: argparse.Namespace) -> int:
             g = read_edge_list(fh)
     except OSError as exc:
         print(f"error: cannot read graph: {exc}", file=sys.stderr)
+        return 1
+    if g.n == 0:
+        print("error: the graph is empty (0 nodes): there is nothing to score", file=sys.stderr)
         return 1
     params = KrylovParams(m=args.krylov_m, tol=args.tol)
     sv = total_communicability(g, params)

@@ -367,16 +367,26 @@ def _er_first_block(total: int, p: float) -> int:
     return math.ceil(total * p + _er_block_margin(total * p))
 
 
-def _row_starts(n: int) -> np.ndarray:
-    """Linear index of pair (i, i + 1) in the lexicographic enumeration of the pairs of n nodes."""
-    i = np.arange(n, dtype=np.int64)
-    return i * (n - 1) - i * (i - 1) // 2
+def _decode_pairs(n: int, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints ``(us, vs)`` of the pairs at lexicographic ``positions`` among the pairs of n nodes.
 
-
-def _decode_pairs(row_start: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoints ``(us, vs)`` of the pairs at linear ``positions``, over ascending ``row_start``."""
-    us = np.searchsorted(row_start, positions, side="right") - 1
-    return us, positions - row_start[us] + us + 1
+    Counted from the end, row u holds the r = n - 1 - u pairs that follow
+    the r(r - 1)/2 pairs of the rows after it, so a pair with ``back`` pairs
+    after it lies in the row of the largest r with r(r - 1)/2 <= back: the
+    floor of 1/2 + sqrt(2 back + 1/4).  Shifted down by 1/4, that root is
+    computed in floating point with an error far below 1/4 for any n whose
+    codes fit in int64 (IEEE ``sqrt`` is correctly rounded), so its floor is
+    r or r - 1, and one exact integer comparison settles which.  Counting
+    from the end keeps the root exact near the last pair, where the forward
+    root's argument, (2n - 1)^2 - 8k, cancels.
+    """
+    back = (n * (n - 1) // 2 - 1) - positions
+    r = (np.sqrt(back * 2.0 + 0.25) + 0.25).astype(np.int64)
+    back -= (r * (r - 1)) >> 1  # pairs after this one in its row, if r is right
+    up = back >= r  # r is one short: the pair lies in the row before
+    back -= r * up
+    r += up
+    return (n - 1) - r, (n - 1) - back
 
 
 def gen_erdos_renyi(spec: GraphGenSpec) -> Graph:
@@ -384,13 +394,14 @@ def gen_erdos_renyi(spec: GraphGenSpec) -> Graph:
 
     Pairs are enumerated in lexicographic order and successes located by
     geometric gap-skipping (Batagelj & Brandes 2005): a block of gaps, a
-    cumulative sum of pair positions, and a search over row starts, so the
-    cost is O(n + E) rather than O(n^2).  The first block holds the expected
-    number of successes plus :func:`_er_block_margin`, so it almost always
-    reaches the last pair; when a block ends short of it, the next block,
-    about as many gaps as successes are expected in the pairs left, continues
-    the same stream.  Gaps past the last pair are discarded, so the graph
-    does not depend on the block sizes.
+    cumulative sum of pair positions, and their closed-form decode into
+    endpoints (:func:`_decode_pairs`), so the cost is O(E) rather than
+    O(n^2).  The first block holds the expected number of successes plus
+    :func:`_er_block_margin`, so it almost always reaches the last pair;
+    when a block ends short of it, the next block, about as many gaps as
+    successes are expected in the pairs left, continues the same stream.
+    Gaps past the last pair are discarded, so the graph does not depend on
+    the block sizes.
     """
     if spec.model != "er":
         raise ValueError("gen_erdos_renyi requires an 'er' spec")
@@ -415,7 +426,7 @@ def gen_erdos_renyi(spec: GraphGenSpec) -> Graph:
         block = math.ceil((total - 1 - last) * p) + 1
     positions = np.concatenate(chunks)
     positions = positions[: np.searchsorted(positions, total)]
-    us, vs = _decode_pairs(_row_starts(n), positions)
+    us, vs = _decode_pairs(n, positions)
     return Graph._from_codes(n, us * n + vs)  # lexicographic enumeration => already sorted
 
 
@@ -425,8 +436,8 @@ def _er_stack(spec: GraphGenSpec, seeds: list[int]) -> Graph:
     Row ``j`` of one ``(len(seeds), block)`` array of gaps is the first block
     of :func:`gen_erdos_renyi` for ``seeds[j]``: the same uniforms
     (:func:`~communifind.rng.stacked_uniforms`), the same gap expression and
-    the same cumulative sum, run along axis 1.  One search over the row
-    starts decodes the pairs of every row, and block ``j``'s endpoints are
+    the same cumulative sum, run along axis 1.  One :func:`_decode_pairs`
+    call decodes the pairs of every row, and block ``j``'s endpoints are
     shifted by ``j * n`` into the union's node numbering.  A row whose first
     block ends short of the last pair is generated by :func:`gen_erdos_renyi`
     for its own seed, so no graph depends on the batching.
@@ -441,7 +452,7 @@ def _er_stack(spec: GraphGenSpec, seeds: list[int]) -> Graph:
     short = positions[:, -1] < total
     keep = positions < total
     keep[short] = False
-    us, vs = _decode_pairs(_row_starts(n), positions[keep])
+    us, vs = _decode_pairs(n, positions[keep])
     shift = np.repeat(np.arange(0, size, n, dtype=np.int64), np.count_nonzero(keep, axis=1))
     us += shift
     vs += shift

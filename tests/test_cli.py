@@ -223,6 +223,18 @@ def test_scores_edgeless_graph_all_ones(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", ["", "# nodes: 0\n# edges: 0\n"], ids=["empty-file", "zero-node-header"])
+def test_scores_zero_node_graph_is_data_error(tmp_path, capsys, text):
+    # the header case is what write_edge_list writes for an empty graph
+    graph_path = tmp_path / "none.txt"
+    graph_path.write_text(text)
+    scores_path = tmp_path / "scores.csv"
+    rc = main(["scores", "--graph", str(graph_path), "--out", str(scores_path)])
+    assert rc == 1
+    assert "empty (0 nodes)" in capsys.readouterr().err
+    assert not scores_path.exists()
+
+
 @pytest.mark.parametrize("top", ["0", "-3"])
 def test_scores_top_below_one_is_usage_error(tmp_path, capsys, top):
     graph_path = tmp_path / "k3.txt"

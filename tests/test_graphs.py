@@ -290,6 +290,43 @@ def test_er_first_block_reaches_the_last_pair(monkeypatch):
         assert len(calls) == 1 and calls[0] > g.edge_count
 
 
+def _searchsorted_decode(n: int, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The decode by binary search over row starts that the closed form replaced."""
+    i = np.arange(n, dtype=np.int64)
+    row_start = i * (n - 1) - i * (i - 1) // 2
+    us = np.searchsorted(row_start, positions, side="right") - 1
+    return us, positions - row_start[us] + us + 1
+
+
+def _isqrt_decode(n: int, position: int) -> tuple[int, int]:
+    """Exact integer decode: the row holds the r pairs after the r(r - 1)/2 below it."""
+    back = n * (n - 1) // 2 - 1 - position
+    r = (1 + math.isqrt(8 * back + 1)) // 2
+    u = n - 1 - r
+    return u, position - (u * (n - 1) - u * (u - 1) // 2) + u + 1
+
+
+def test_closed_form_decode_equals_searchsorted_decode():
+    for n in range(2, 65):
+        positions = np.arange(n * (n - 1) // 2, dtype=np.int64)
+        us, vs = graphs_module._decode_pairs(n, positions)
+        want_us, want_vs = _searchsorted_decode(n, positions)
+        assert np.array_equal(us, want_us) and np.array_equal(vs, want_vs)
+
+
+@pytest.mark.parametrize("n", [1024, 10**5, 10**7, 3 * 10**9])
+def test_closed_form_decode_exact_at_scale(n):
+    # the first and last pair of the first, middle and last rows; at
+    # n = 3e9 the codes u * n + v still fit in int64, and no graph is built
+    pairs = []
+    for u in (0, n // 2, n - 2):
+        pairs += [(u, u + 1), (u, n - 1)]
+    positions = [u * (n - 1) - u * (u - 1) // 2 + v - u - 1 for u, v in pairs]
+    us, vs = graphs_module._decode_pairs(n, np.array(positions, dtype=np.int64))
+    assert list(zip(us.tolist(), vs.tolist())) == pairs
+    assert [_isqrt_decode(n, k) for k in positions] == pairs
+
+
 def _per_seed_union(spec: GraphGenSpec, seeds: list[int]) -> Graph:
     return disjoint_union([generate(dataclasses.replace(spec, seed=s)) for s in seeds])
 
