@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .communicability import total_communicability, write_scores_csv
+from .communicability import hosts_per_stack, total_communicability, write_scores_csv
 from .expm import KrylovParams, NumericalBreakdownError
 from .graphs import (
     EdgeListParseError,
@@ -217,7 +217,7 @@ def _report_dict(
     total_seconds: float,
 ) -> dict[str, object]:
     summary = summarize_rates(results)
-    return {
+    report: dict[str, object] = {
         "method": method,
         "rng": GENERATOR,
         "config": {str(k): values[k] for k in sorted(values)},
@@ -240,6 +240,10 @@ def _report_dict(
             for i, res in enumerate(results)
         ],
     }
+    if method == "communicability":
+        # the most backgrounds one Krylov solve of a run scores
+        report["hosts_per_solve"] = hosts_per_stack(cfg.background.n)
+    return report
 
 
 def _append_summary(path: Path, row: dict[str, object]) -> None:

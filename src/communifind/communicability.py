@@ -43,12 +43,17 @@ ScoreKind = Literal["sc", "tc", "tc_sum"]
 
 _SC_MAX_NODES = 512
 # Graphs are scored in stacks of up to this many nodes, one Krylov solve per
-# stack: eight graphs at n=1024.  A step costs one sparse product plus a
-# fixed overhead (the tridiagonal eigensolver and the Python of the loop),
-# which stacking shares across the stack; the cap bounds the memory of a
-# solve.  Stacks of 10 and 20 backgrounds measured within a few percent of 8.
-# Larger graphs are scored one at a time.  Read through hosts_per_stack.
-_STACK_NODES = 8192
+# stack: twenty graphs at n=1024.  A stack pays fixed costs (its generation
+# and embedding calls, the operator build) and each step one sparse product
+# plus a fixed overhead (the tridiagonal eigensolver and the Python of the
+# loop); stacking shares the fixed parts, and the cap bounds the memory of a
+# solve.  On 40 sparse backgrounds (er avg 2, 2-vCPU VM) a run took ~19%
+# less time in stacks of 20 than of 8, at ~5% more peak RSS; one stack of
+# 40 took ~21% less time than 8, but 13-15% more peak RSS.  Stacking dense
+# graphs can raise the steps of a solve instead (er avg 39: 12 steps alone,
+# 25 in a stack of 8).  Larger graphs are scored one at a time.  Read
+# through hosts_per_stack.
+_STACK_NODES = 20480
 
 
 @dataclass(frozen=True)

@@ -71,11 +71,16 @@ _ORACLE_MAX_NODES = 512
 # Absolute slack of the screen, beyond the factor 2 on tol: it covers the
 # rounding of forming the iterates, which matters only for tol near eps.
 _SCREEN_SLACK = 1e-12
-# Rows of the first basis block, doubled whenever a solve outgrows it: every
-# headline solve fits, and for an 8192-node stack the block is 2 MB, below
-# the 4 MB from which numpy advises huge pages, so a short solve touches only
-# its rows.
-_BASIS_ROWS = 32
+# The first basis block holds as many rows as fit below 4 MiB, the size from
+# which numpy advises huge pages, so a short solve on a 20480-node stack (25
+# rows) touches only its own rows; with 32 rows (5 MiB), peak RSS over
+# 40-background runs of such stacks read 0.1-2.4 MB higher.  Larger graphs
+# are over 4 MiB at the floor's rows anyway.  The floor is a full stack's
+# depth, and it holds the slowest large single graphs measured (25 steps: BA
+# m=2 at 1e5 nodes, SW k=40 at 5e4), so they grow no more often than with the
+# former 32 rows.  A solve that outgrows the block doubles it.
+_BASIS_BYTES = 1 << 22
+_BASIS_MIN_ROWS = 25
 
 
 class NumericalBreakdownError(ArithmeticError):
@@ -188,6 +193,11 @@ class _SkipBound:
         self._log_terms += math.log(beta) - math.log(s)
 
 
+def _basis_rows(n: int) -> int:
+    """Rows of the first basis block of an ``n``-node solve, before the cap at ``m``."""
+    return max(_BASIS_MIN_ROWS, (_BASIS_BYTES - 1) // (8 * n))
+
+
 def _relative_change(x: np.ndarray, x_prev: np.ndarray, blocks: int) -> float:
     """Largest ||x_b - x_prev_b|| / ||x_b|| over the ``blocks`` equal consecutive parts.
 
@@ -263,12 +273,15 @@ def expm_action(
     Raises
     ------
     ValueError
-        If ``v`` has the wrong length, is identically zero, or is not finite,
-        or if ``blocks`` does not divide the node count.
+        If ``g`` has no nodes, if ``v`` has the wrong length, is identically
+        zero, or is not finite, or if ``blocks`` does not divide the node
+        count.
     NumericalBreakdownError
         If a non-finite intermediate appears (e.g. overflow of exp).
     """
     n = g.n
+    if n == 0:
+        raise ValueError("the graph is empty (0 nodes): there is nothing to act on")
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (n,):
         raise ValueError(f"v must have shape ({n},), got {v.shape}")
@@ -282,10 +295,11 @@ def expm_action(
 
     a = _adjacency(g)
     m = params.m
-    basis = np.empty((min(m, _BASIS_ROWS), n))
+    basis = np.empty((min(m, _basis_rows(n)), n))
     np.divide(v, beta0, out=basis[0])
     alphas = np.empty(m)  # diagonal of the projected tridiagonal matrix
     betas = np.empty(m)  # its off-diagonal
+    scratch = np.empty(n)
     screen = 2.0 * params.tol + _SCREEN_SLACK
     bound = _SkipBound(screen, beta0)
     provable = True  # the bound skipped every step so far
@@ -299,9 +313,10 @@ def expm_action(
         v_cur = basis[s - 1]
         w = a @ v_cur
         alpha = float(v_cur @ w)
-        w -= alpha * v_cur
+        # through one scratch vector: the same roundings as w -= alpha * v_cur
+        w -= np.multiply(v_cur, alpha, out=scratch)
         if s > 1:
-            w -= betas[s - 2] * basis[s - 2]
+            w -= np.multiply(basis[s - 2], betas[s - 2], out=scratch)
         if not np.isfinite(alpha):
             raise NumericalBreakdownError("non-finite Lanczos coefficient")
         alphas[s - 1] = alpha

@@ -14,6 +14,7 @@ from communifind import (
     read_edge_list,
     total_communicability,
 )
+from communifind import communicability
 from communifind.cli import (
     ConfigError,
     _coerce,
@@ -291,6 +292,7 @@ def test_experiment_end_to_end(tmp_path, capsys):
         assert len(run["candidates"]) == 20
         assert run["rate"] == run["hits"] / 20
     assert set(report["phase_seconds"]) == {"generation", "scoring", "selection"}
+    assert report["hosts_per_solve"] == communicability.hosts_per_stack(256)
 
     with (out_dir / "summary.csv").open() as fh:
         rows = list(csv.DictReader(fh))
@@ -382,6 +384,7 @@ def test_baseline_end_to_end(tmp_path, capsys):
     assert report["rng"] == "splitmix64-counter"
     assert set(report["phase_seconds"]) == {"generation", "scoring", "selection"}
     assert report["phase_seconds"]["scoring"] > 0
+    assert "hosts_per_solve" not in report
     with (out_dir / "summary.csv").open() as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["method"] == "modularity"

@@ -200,9 +200,14 @@ def test_generator_input_is_scored_stack_by_stack(monkeypatch):
     assert np.array_equal(top_k(summed, 10), top_k(ScoreVector(sum(own), "tc_sum", 5), 10))
 
 
+def test_total_communicability_of_a_zero_node_graph_names_the_graph():
+    with pytest.raises(ValueError, match="0 nodes"):
+        total_communicability(Graph.from_pairs(0, []))
+
+
 def test_hosts_per_stack_reads_the_cap_at_call_time(monkeypatch):
-    assert communicability.hosts_per_stack(1024) == 8
-    assert communicability.hosts_per_stack(2048) == 4
+    assert communicability.hosts_per_stack(1024) == 20
+    assert communicability.hosts_per_stack(2048) == 10
     assert communicability.hosts_per_stack(10**5) == 1
     monkeypatch.setattr(communicability, "_STACK_NODES", 250)
     assert communicability.hosts_per_stack(100) == 2
@@ -212,11 +217,12 @@ def test_given_stacks_score_as_the_graphs_they_union():
     # the pipeline hands over stacks built as unions; scoring them is the
     # same solve as stacking the graphs one by one, bit for bit
     spec = GraphGenSpec(model="er", n=1024, avg_degree=2.0)
-    seeds = list(range(11))
+    per_stack = communicability.hosts_per_stack(1024)
+    seeds = list(range(per_stack + 3))
     graphs = [generate(GraphGenSpec(model="er", n=1024, avg_degree=2.0, seed=s)) for s in seeds]
-    stacks = [(generate(spec, seeds[:8]), 8), (generate(spec, seeds[8:]), 3)]
+    stacks = [(generate(spec, seeds[:per_stack]), per_stack), (generate(spec, seeds[per_stack:]), 3)]
     summed = communicability._summed_stacks(iter(stacks), KrylovParams())
-    assert summed.num_backgrounds == 11
+    assert summed.num_backgrounds == per_stack + 3
     assert summed.scores.tobytes() == summed_total_communicability(graphs).scores.tobytes()
     with pytest.raises(ValueError, match="at least one graph"):
         communicability._summed_stacks(iter([]), KrylovParams())

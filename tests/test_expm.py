@@ -24,7 +24,7 @@ from communifind import (
     generate,
     top_k,
 )
-from communifind import expm
+from communifind import communicability, expm
 from communifind.expm import _relative_change
 from conftest import mixed_model_spec
 
@@ -166,6 +166,12 @@ def test_oracle_node_limit():
     g = Graph.from_pairs(513, [(0, 1)])
     with pytest.raises(ValueError, match="expm_action"):
         expm_dense_oracle(g)
+
+
+def test_zero_node_graph_is_named_in_the_error():
+    # ones(0) has the right length: the error is about the graph, not the vector
+    with pytest.raises(ValueError, match="0 nodes"):
+        expm_action(Graph.from_pairs(0, []), np.ones(0))
 
 
 def test_rejects_bad_vectors():
@@ -418,6 +424,39 @@ def test_values_bit_identical_across_calls():
     again = expm_action(h, np.ones(h.n), blocks=blocks)
     assert np.array_equal(first.value, again.value)
     assert (first.est_error, first.iterations) == (again.est_error, again.iterations)
+
+
+def _counted_growths(monkeypatch) -> list:
+    grown = []
+    vstack = np.vstack
+    monkeypatch.setattr(np, "vstack", lambda arrays: grown.append(len(arrays[0])) or vstack(arrays))
+    return grown
+
+
+def test_basis_growth_keeps_the_solve(monkeypatch):
+    # a first block of 4 rows grows three times in the 26 steps of
+    # sw-stack-2, which fit in the default block: the bits must not change
+    g, blocks = _sw_stack()
+    default = expm_action(g, np.ones(g.n), blocks=blocks)
+    grown = _counted_growths(monkeypatch)
+    monkeypatch.setattr(expm, "_BASIS_BYTES", 4 * 8 * g.n + 1)
+    monkeypatch.setattr(expm, "_BASIS_MIN_ROWS", 1)
+    small = expm_action(g, np.ones(g.n), blocks=blocks)
+    assert len(grown) >= 2
+    assert small.value.tobytes() == default.value.tobytes()
+    assert (small.est_error, small.iterations) == (default.est_error, default.iterations)
+
+
+def test_full_stack_block_is_below_huge_pages(monkeypatch):
+    # numpy advises huge pages from 4 MiB on; a full stack's solve of sparse
+    # backgrounds fits in its first block, so it touches only the rows it takes
+    per_stack = communicability.hosts_per_stack(1024)
+    n = per_stack * 1024
+    assert expm._basis_rows(n) * 8 * n < 4 << 20
+    grown = _counted_growths(monkeypatch)
+    g = generate(GraphGenSpec(model="er", n=1024, avg_degree=2.0), seeds=range(40, 40 + per_stack))
+    res = expm_action(g, np.ones(n), blocks=per_stack)
+    assert res.converged and grown == []
 
 
 # =====================================================================

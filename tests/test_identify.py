@@ -170,14 +170,14 @@ def test_generated_and_embedded_graphs_build_no_csr(index):
 
 
 def test_pipeline_builds_no_node_order_rows(monkeypatch):
-    # 9 backgrounds of 1024 nodes: a stack of eight and a stack of one
+    # a full stack of 1024-node backgrounds and a stack of one
     built = []
     node_order_rows = Graph._csr.func
     monkeypatch.setattr(Graph, "_csr", property(lambda g: built.append(g) or node_order_rows(g)))
     cfg = ExperimentConfig(
         background=GraphGenSpec(model="er", n=1024, avg_degree=2.0),
         target=canonical_sparse_target(0),
-        num_backgrounds=9,
+        num_backgrounds=communicability.hosts_per_stack(1024) + 1,
         runs=2,
         k=20,
     )
@@ -186,7 +186,7 @@ def test_pipeline_builds_no_node_order_rows(monkeypatch):
 
 
 def test_pipeline_generates_er_stacks_in_one_pass(monkeypatch):
-    # five stacks of eight 1024-node hosts per run: each stack is one
+    # two stacks of twenty 1024-node hosts per run: each stack is one
     # generate and one apply_embedding call, with no per-seed ER graph and
     # no union of graphs built anywhere on the run path
     calls = []
@@ -211,7 +211,7 @@ def test_pipeline_generates_er_stacks_in_one_pass(monkeypatch):
         k=20,
     )
     assert len(run_pipeline(cfg)) == 1
-    assert sorted(calls) == ["apply_embedding"] * 5 + ["generate"] * 5
+    assert sorted(calls) == ["apply_embedding"] * 2 + ["generate"] * 2
 
 
 def test_baseline_receives_per_host_graphs(monkeypatch):
@@ -448,24 +448,30 @@ def test_stacked_scoring_matches_one_solve_per_background(monkeypatch):
         assert np.array_equal(a.candidates, c.candidates)
 
 
-def test_eight_backgrounds_share_one_solve():
-    # a run at n=1024 scores eight hosts per solve, here with a weak fourth
-    # block (mean degree 0.5); every block must meet tol as in its own solve
-    assert communicability._STACK_NODES // 1024 == 8
+def test_a_full_stack_of_backgrounds_shares_one_solve():
+    # a run at n=1024 scores hosts_per_stack(1024) hosts per solve, here with
+    # a weak block (mean degree 0.5) in every eight; every block must meet
+    # tol as in its own solve
+    per_stack = communicability.hosts_per_stack(1024)
+    assert per_stack > 1
     target = canonical_sparse_target(0)
     embedding = draw_embedding(1024, target.t, 5)
     hosts = [
-        apply_embedding(generate(GraphGenSpec(model="er", n=1024, avg_degree=avg, seed=90 + b)), target, embedding)
-        for b, avg in enumerate((2.0, 2.0, 2.0, 0.5, 2.0, 2.0, 2.0, 2.0))
+        apply_embedding(
+            generate(GraphGenSpec(model="er", n=1024, avg_degree=0.5 if b % 8 == 3 else 2.0, seed=90 + b)),
+            target,
+            embedding,
+        )
+        for b in range(per_stack)
     ]
     params = KrylovParams()
-    stacked = expm_action(disjoint_union(hosts), np.ones(8 * 1024), params, blocks=8)
+    stacked = expm_action(disjoint_union(hosts), np.ones(per_stack * 1024), params, blocks=per_stack)
     assert stacked.converged
-    for host, block in zip(hosts, stacked.value.reshape(8, 1024)):
+    for host, block in zip(hosts, stacked.value.reshape(per_stack, 1024)):
         own = expm_action(host, np.ones(1024), params).value
         assert np.linalg.norm(block - own) / np.linalg.norm(own) <= params.tol
     summed = summed_total_communicability(iter(hosts), params)
-    one_per_solve = ScoreVector(sum(total_communicability(h, params).scores for h in hosts), "tc_sum", 8)
+    one_per_solve = ScoreVector(sum(total_communicability(h, params).scores for h in hosts), "tc_sum", per_stack)
     assert np.array_equal(top_k(summed, 20), top_k(one_per_solve, 20))
 
 
