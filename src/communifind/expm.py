@@ -7,16 +7,12 @@ length-n basis vector per step taken, used only to form the iterate.
 :func:`expm_dense_oracle` is the independent dense reference used to validate
 it.
 
-A step's sparse product runs over A in coordinate form, built once per solve
-from the graph's ascending edge codes with no sort (:func:`_adjacency`): the
-first half of the entries is (v, u) for every code u * n + v, the second
-half (u, v).  SciPy's coordinate product adds ``y[row[k]] += x[col[k]]`` in
-stored order, starting from 0.0, so row x first meets its smaller neighbors
-ascending (first half, code order) and then its larger ones ascending
-(second half): the same terms in the same order as the node-order rows of
-``Graph._csr``, so the results are those of the node-order product bit for
-bit.  On an 8 x 1024-node ER(avg 2) stack the build takes ~0.1 ms and a
-product ~0.036 ms (2-vCPU VM, 1 BLAS thread).
+A step's sparse product runs over A in the coordinate form that
+:func:`communifind.graphs.adjacency` builds once per solve from the graph's
+ascending edge codes, with no sort.  Its entry order makes the products
+those of the graph's sorted node-order rows bit for bit (the builder's
+docstring says why).  On an 8 x 1024-node ER(avg 2) stack the build takes
+~0.1 ms and a product ~0.036 ms (2-vCPU VM, 1 BLAS thread).
 
 Every basis vector has unit norm.  Were the basis orthonormal, the change
 between successive iterates would be ``beta0 * ||y_s - [y_{s-1}; 0]||`` for
@@ -54,8 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg.lapack
-import scipy.sparse
 
+from . import graphs
 from .graphs import Graph
 
 __all__ = [
@@ -210,23 +206,6 @@ def _relative_change(x: np.ndarray, x_prev: np.ndarray, blocks: int) -> float:
     return float(np.max(np.divide(change, size, out=zero_size, where=size != 0.0)))
 
 
-def _adjacency(g: Graph) -> scipy.sparse.coo_matrix:
-    """A of ``g`` in coordinate form, whose products are the node-order ones bit for bit.
-
-    The entry order is what makes them so: see the module docstring.
-    """
-    n = g.n
-    codes = g.edge_codes()
-    us = codes // n  # with the subtraction, half the time of np.divmod
-    vs = codes - us * n
-    # int32 below 2**31 nodes: given int64, scipy would cast them itself, at
-    # twice the build time
-    index = scipy.sparse.get_index_dtype(maxval=n)
-    rows = np.concatenate([vs, us], dtype=index)
-    cols = np.concatenate([us, vs], dtype=index)
-    return scipy.sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
-
-
 def expm_action(
     g: Graph, v: np.ndarray, params: KrylovParams = KrylovParams(), *, blocks: int = 1
 ) -> ExpmResult:
@@ -293,7 +272,7 @@ def expm_action(
     if beta0 == 0.0:
         raise ValueError("cannot propagate the zero vector")
 
-    a = _adjacency(g)
+    a = graphs.adjacency(g)
     m = params.m
     basis = np.empty((min(m, _basis_rows(n)), n))
     np.divide(v, beta0, out=basis[0])

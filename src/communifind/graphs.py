@@ -5,13 +5,14 @@ unweighted, with dense 0-based node labels.  A graph stores its edges as
 sorted canonical codes ``u * n + v`` (u < v): the generators emit them in
 that form, overlaying a target merges codes, and a disjoint union
 concatenates them.  :func:`generate` also builds a stack of graphs from
-several seeds as their disjoint union, ER ones in one vectorized pass.  The
-compressed sparse rows, with each neighbor list sorted ascending for
-deterministic iteration order downstream, are built from the codes once,
-when something first reads them: in the baseline, once per host.  A Krylov
-solve multiplies by the codes' coordinate form instead (see
-:mod:`communifind.expm`), whose sums are those of the node-order rows, so a
-run of the pipeline builds no rows at all.
+several seeds as their disjoint union, ER ones in one vectorized pass.
+
+:func:`adjacency` is the one place that turns the codes into the adjacency
+matrix A, in coordinate form with no sort.  A Krylov solve multiplies by it
+directly (see :mod:`communifind.expm`); the modularity baseline, the
+compressed sparse rows of :class:`Graph`, :func:`is_connected` and
+:meth:`Graph.to_dense` all convert it.  A run of the pipeline therefore
+builds no rows at all, and the baseline builds one CSR matrix per host.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal, Sequence, TextIO
 
 import numpy as np
+import scipy.sparse
 
 from .rng import SeededRng, geometric_gaps, stacked_uniforms
 
@@ -31,6 +33,7 @@ __all__ = [
     "GraphGenSpec",
     "TargetSpec",
     "EdgeListParseError",
+    "adjacency",
     "generate",
     "gen_erdos_renyi",
     "gen_barabasi_albert",
@@ -60,9 +63,11 @@ class Graph:
     (u < v), in a read-only ascending array (:meth:`edge_codes`);
     ``edge_count`` is its length.  The compressed sparse rows
     ``indptr``/``indices`` hold both directions of every edge, with each
-    row's neighbor list sorted ascending.  They are built from the codes on
-    first use and then cached, so a graph that is only generated, overlaid,
-    stacked, scored and checked for connectivity never builds them.
+    row's neighbor list sorted ascending.  They are the CSR form of
+    :func:`adjacency`, built on first use and then cached read-only, so a
+    graph that is only generated, overlaid, stacked, scored and checked for
+    connectivity never builds them.  Node labels passed to the accessors
+    must lie in [0, n).
     """
 
     n: int
@@ -125,23 +130,11 @@ class Graph:
 
     @functools.cached_property
     def _csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(indptr, indices)``, built from the codes once.
-
-        Every edge enters twice, first as (row v, col u) and then as
-        (row u, col v).  Codes ascend, so within one row the first half
-        lists the smaller neighbors ascending and the second half the larger
-        ones; a stable sort by row alone therefore yields sorted rows.
-        """
-        n = self.n
-        us, vs = np.divmod(self._codes, n)
-        rows = np.concatenate([vs, us])
-        cols = np.concatenate([us, vs])
-        indices = cols[_stable_order(rows, n)]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        indices.flags.writeable = False
-        indptr.flags.writeable = False
-        return indptr, indices
+        """``(indptr, indices)`` of :func:`adjacency` in CSR form, rows sorted, built once."""
+        a = adjacency(self).tocsr()
+        a.indptr.flags.writeable = False
+        a.indices.flags.writeable = False
+        return a.indptr, a.indices
 
     def __reduce__(self):
         # rebuild through _from_codes, so a graph sent to or from a worker
@@ -166,14 +159,22 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
+    def _check_node(self, u: int) -> None:
+        if not 0 <= u < self.n:
+            raise ValueError(f"node label {u} out of range for n={self.n}")
+
     def degree(self, u: int) -> int:
+        self._check_node(u)
         return int(self.indptr[u + 1] - self.indptr[u])
 
     def neighbors(self, u: int) -> np.ndarray:
         """Sorted neighbor list of ``u`` (read-only view)."""
+        self._check_node(u)
         return self.indices[self.indptr[u] : self.indptr[u + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
+        self._check_node(u)
+        self._check_node(v)
         if u == v:
             return False
         code = min(u, v) * self.n + max(u, v)
@@ -190,11 +191,7 @@ class Graph:
 
     def to_dense(self) -> np.ndarray:
         """Dense float adjacency matrix."""
-        a = np.zeros((self.n, self.n))
-        us, vs = np.divmod(self._codes, self.n)
-        a[us, vs] = 1.0
-        a[vs, us] = 1.0
-        return a
+        return adjacency(self).toarray()
 
     @property
     def mean_degree(self) -> float:
@@ -213,19 +210,27 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
-def _stable_order(keys: np.ndarray, n: int) -> np.ndarray:
-    """Stable argsort of integer keys in [0, n): LSD radix passes over 16-bit digits.
+def adjacency(g: Graph) -> scipy.sparse.coo_matrix:
+    """The adjacency matrix A of ``g`` in coordinate form, built from the codes with no sort.
 
-    numpy's stable sort of 8- and 16-bit keys is a radix sort, so each pass
-    is O(len).  Keys below 256 sort as 8-bit, in one byte pass instead of two.
+    The first half of the entries is (v, u) for every code u * n + v, the
+    second half (u, v), both in code order.  Row x so lists its smaller
+    neighbors ascending and then its larger ones ascending: the terms of a
+    sorted CSR row, in that row's order.  SciPy's coordinate product adds
+    ``y[row[k]] += x[col[k]]`` in stored order, starting from 0.0, so its
+    results are those of the sorted rows bit for bit.  ``tocsr()`` is a
+    stable counting sort by row, so it yields the sorted rows themselves.
     """
-    order = np.argsort(keys.astype(np.uint8 if n <= 256 else np.uint16), kind="stable")
-    shift = 16
-    while (n - 1) >> shift > 0:
-        digit = (keys[order] >> shift).astype(np.uint16)
-        order = order[np.argsort(digit, kind="stable")]
-        shift += 16
-    return order
+    n = g.n
+    codes = g.edge_codes()
+    us = codes // n  # with the subtraction, half the time of np.divmod
+    vs = codes - us * n
+    # int32 below 2**31 nodes: given int64, scipy would cast them itself, at
+    # twice the build time
+    index = scipy.sparse.get_index_dtype(maxval=n)
+    rows = np.concatenate([vs, us], dtype=index)
+    cols = np.concatenate([us, vs], dtype=index)
+    return scipy.sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
 
 
 def disjoint_union(graphs: Sequence[Graph]) -> Graph:
@@ -258,19 +263,13 @@ def density(g: Graph) -> float:
 def is_connected(g: Graph) -> bool:
     """Whether every node is reachable from every other; the empty graph is connected.
 
-    Connected components of the upper triangle read as an undirected graph,
-    straight from the codes: no CSR of the graph is built.
+    Connected components of :func:`adjacency`: no CSR of the graph is cached.
     """
-    # imported here: no run of the pipeline checks connectivity
-    from scipy.sparse import coo_matrix
+    # imported here: no run of the pipeline checks connectivity, and the
+    # import costs every start ~15 ms
     from scipy.sparse.csgraph import connected_components
 
-    n = g.n
-    if n == 0:
-        return True
-    us, vs = np.divmod(g.edge_codes(), n)
-    upper = coo_matrix((np.ones(us.size), (us, vs)), shape=(n, n))
-    return connected_components(upper, directed=False, return_labels=False) == 1
+    return g.n == 0 or connected_components(adjacency(g), directed=False, return_labels=False) == 1
 
 
 # =====================================================================

@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse
 
+from . import graphs
 from .expm import NumericalBreakdownError
 from .graphs import Graph
 from .identify import ExperimentConfig, RunResult, _map_runs
@@ -102,19 +103,19 @@ class EigenScan:
     eigenvalues: np.ndarray
 
 
-def _adjacency_csr(g: Graph) -> scipy.sparse.csr_matrix:
-    data = np.ones(g.indices.size)
-    return scipy.sparse.csr_matrix((data, g.indices, g.indptr), shape=(g.n, g.n))
-
-
 def modularity_matrix(g: Graph) -> ModularityMatrix:
-    """B = A - d d^T / (2E); rows sum to zero by construction."""
+    """B = A - d d^T / (2E); rows sum to zero by construction.
+
+    A is :func:`~communifind.graphs.adjacency` in CSR form and d its row
+    lengths, so the graph caches no rows of its own.
+    """
     if g.edge_count < 1:
         raise ValueError("modularity matrix needs at least one edge")
-    d = g.degrees.astype(np.float64)
+    a = graphs.adjacency(g).tocsr()
+    d = np.diff(a.indptr).astype(np.float64)
     return ModularityMatrix(
         n=g.n,
-        adjacency=_adjacency_csr(g),
+        adjacency=a,
         degree_cols=d[:, None],
         weights=np.array([1.0 / (2.0 * g.edge_count)]),
     )

@@ -24,7 +24,7 @@ from communifind import (
     generate,
     top_k,
 )
-from communifind import communicability, expm
+from communifind import communicability, expm, graphs
 from communifind.expm import _relative_change
 from conftest import mixed_model_spec
 
@@ -477,7 +477,7 @@ _PRODUCT_GRAPHS = {
     "edgeless": lambda: Graph.from_pairs(7, []),
     "one-node": lambda: Graph.from_pairs(1, []),
     "isolated-nodes": lambda: Graph.from_pairs(9, [(1, 7), (7, 3), (3, 1), (7, 8)]),
-    # labels pass 16 bits: two radix passes in the node-order reference rows
+    # labels past 16 bits in the node-order reference rows
     "star-70000": lambda: _star(70_000),
     "union-2": lambda: disjoint_union(
         [generate(GraphGenSpec(model="ba", n=1024, m=10, seed=3)), Graph.from_pairs(9, [(1, 7), (7, 3)])]
@@ -490,7 +490,7 @@ def test_solve_operator_product_is_node_order_product(make):
     # bit for bit: a SciPy change to the coordinate product's accumulation
     # order fails here, before it moves any score
     g = make()
-    a = expm._adjacency(g)
+    a = graphs.adjacency(g)
     node_order = scipy.sparse.csr_matrix((np.ones(g.indices.size), g.indices, g.indptr), shape=(g.n, g.n))
     rng = np.random.default_rng(1)
     for _ in range(3):
@@ -500,8 +500,8 @@ def test_solve_operator_product_is_node_order_product(make):
 
 def test_solve_builds_its_operator_once(monkeypatch):
     built = []
-    adjacency = expm._adjacency
-    monkeypatch.setattr(expm, "_adjacency", lambda g: built.append(g) or adjacency(g))
+    adjacency = graphs.adjacency
+    monkeypatch.setattr(graphs, "adjacency", lambda g: built.append(g) or adjacency(g))
     g, blocks = _er_stack()
     res = expm_action(g, np.ones(g.n), blocks=blocks)
     assert res.iterations > 1 and len(built) == 1 and built[0] is g

@@ -85,8 +85,8 @@ def test_edge_pairs_round_trip():
 
 
 def test_csr_rows_sorted_beyond_16_bit_labels():
-    # n > 2**16 takes a second radix pass over the high digit of the row key;
-    # the reference is a two-key lexsort of both edge directions
+    # labels past 16 bits, against an independent reference: a two-key
+    # lexsort of both edge directions
     n = 70_000
     rng = np.random.default_rng(5)
     ends = rng.integers(0, n, size=(4000, 2))
@@ -107,13 +107,36 @@ def test_csr_built_once_then_cached(monkeypatch):
     g = Graph.from_pairs(5, [(4, 0), (0, 2), (0, 1)])
     assert not _has_csr(g)
     builds = []
-    radix = graphs_module._stable_order
-    monkeypatch.setattr(graphs_module, "_stable_order", lambda keys, n: builds.append(n) or radix(keys, n))
+    adjacency = graphs_module.adjacency
+    monkeypatch.setattr(graphs_module, "adjacency", lambda g: builds.append(g.n) or adjacency(g))
     indptr, indices = g.indptr, g.indices
     assert g.neighbors(0).tolist() == [1, 2, 4] and g.degree(4) == 1
     assert g.indptr is indptr and g.indices is indices
     assert builds == [5]
     assert not indptr.flags.writeable and not indices.flags.writeable
+
+
+@pytest.mark.parametrize("label", [-1, 4, 6])
+def test_has_edge_rejects_labels_outside_range(label):
+    # the code 0 * 4 + 6 would alias edge (1, 2)
+    g = Graph.from_pairs(4, [(1, 2)])
+    for u, v in ((0, label), (label, 0), (label, label)):
+        with pytest.raises(ValueError, match=f"node label {label} out of range for n=4"):
+            g.has_edge(u, v)
+
+
+@pytest.mark.parametrize("label", [-1, 4])
+def test_degree_rejects_labels_outside_range(label):
+    g = Graph.from_pairs(4, [(1, 2)])
+    with pytest.raises(ValueError, match=f"node label {label} out of range for n=4"):
+        g.degree(label)
+
+
+@pytest.mark.parametrize("label", [-1, 4])
+def test_neighbors_rejects_labels_outside_range(label):
+    g = Graph.from_pairs(4, [(1, 2)])
+    with pytest.raises(ValueError, match=f"node label {label} out of range for n=4"):
+        g.neighbors(label)
 
 
 def test_edge_codes_are_the_stored_read_only_array():

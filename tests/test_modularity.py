@@ -21,6 +21,7 @@ from communifind import (
     apply_embedding,
     eigen_l1_scores,
     generate,
+    graphs,
     modularity,
     modularity_matrix,
     run_baseline,
@@ -62,6 +63,23 @@ def test_matrix_rows_sum_to_zero(index):
     b = modularity_matrix(g)
     assert np.abs(b @ np.ones(g.n)).max() <= 1e-9
     assert b.to_dense() == pytest.approx(b.to_dense().T)
+
+
+def test_baseline_host_builds_adjacency_once_and_no_graph_rows(monkeypatch):
+    g = generate(mixed_model_spec(2))
+    b = modularity_matrix(g)
+    assert "_csr" not in vars(g)
+    rows = scipy.sparse.csr_matrix((np.ones(g.indices.size), g.indices, g.indptr), shape=(g.n, g.n))
+    assert np.array_equal(b.adjacency.indptr, rows.indptr) and np.array_equal(b.adjacency.indices, rows.indices)
+    assert np.array_equal(b.adjacency.data, rows.data)
+    built = []
+    adjacency = graphs.adjacency
+    monkeypatch.setattr(graphs, "adjacency", lambda h: built.append(h) or adjacency(h))
+    cfg = ExperimentConfig(
+        background=GraphGenSpec(model="er", n=64, avg_degree=4.0), target=clique(5), num_backgrounds=3, runs=1
+    )
+    assert len(run_baseline(cfg, r=3)) == 1
+    assert len(built) == 3 and not any("_csr" in vars(h) for h in built)
 
 
 def test_matrix_guards():
