@@ -12,7 +12,10 @@ numerics), 2 usage or config error.
 
 Experiment configs are flat ``key = value`` text files; see CONFIG_KEYS for
 the schema.  Reports are JSON; every command appends one summary row to
-``summary.csv`` in the output directory.
+``summary.csv`` in the output directory.  An ``experiment`` report and its
+closing line carry each run's top-k margin (see
+:class:`~communifind.identify.RunResult`) and name the runs whose margin is
+below 1, whose top-k set the solves' error estimate does not settle.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -209,6 +213,16 @@ def _parse_coeffs(values: dict[str, object]) -> FilterCoeffs | None:
 # =====================================================================
 
 
+def _json_margin(margin: float) -> float | None:
+    """A margin as strict JSON: null stands for an infinite margin."""
+    return None if math.isinf(margin) else margin
+
+
+def _unsettled(results: list[RunResult]) -> list[int]:
+    """Indices of the runs whose top-k margin is below 1."""
+    return [i for i, res in enumerate(results) if res.margin < 1.0]
+
+
 def _report_dict(
     method: str,
     values: dict[str, object],
@@ -217,6 +231,16 @@ def _report_dict(
     total_seconds: float,
 ) -> dict[str, object]:
     summary = summarize_rates(results)
+    runs: list[dict[str, object]] = [
+        {
+            "run": i,
+            "target_nodes": res.embedding.map.tolist(),
+            "candidates": res.candidates.tolist(),
+            "hits": res.hits,
+            "rate": res.rate,
+        }
+        for i, res in enumerate(results)
+    ]
     report: dict[str, object] = {
         "method": method,
         "rng": GENERATOR,
@@ -229,20 +253,16 @@ def _report_dict(
             for f in dataclasses.fields(PhaseSeconds)
         },
         "total_seconds": total_seconds,
-        "runs": [
-            {
-                "run": i,
-                "target_nodes": res.embedding.map.tolist(),
-                "candidates": res.candidates.tolist(),
-                "hits": res.hits,
-                "rate": res.rate,
-            }
-            for i, res in enumerate(results)
-        ],
+        "runs": runs,
     }
     if method == "communicability":
         # the most backgrounds one Krylov solve of a run scores
         report["hosts_per_solve"] = hosts_per_stack(cfg.background.n)
+        for run, res in zip(runs, results):
+            run["margin"] = _json_margin(res.margin)
+        report["min_margin"] = _json_margin(min(res.margin for res in results))
+        report["unsettled_runs"] = _unsettled(results)
+        report["first_pass_fallbacks"] = sum(res.fell_back for res in results)
     return report
 
 
@@ -302,10 +322,14 @@ def _run_experiment_command(args: argparse.Namespace, method: str) -> int:
     except OSError as exc:
         print(f"error: cannot write results: {exc}", file=sys.stderr)
         return 1
+    margins = ""
+    if method == "communicability":
+        unsettled = ",".join(map(str, _unsettled(results))) or "none"
+        margins = f"min_margin={min(res.margin for res in results):.3g} unsettled_runs={unsettled} "
     print(
         f"method={method} runs={cfg.runs} mean_rate={summary.mean:.6f} "
         f"std={summary.std:.6f} perfect_frac={summary.perfect_fraction:.6f} "
-        f"report={report_path}"
+        f"{margins}report={report_path}"
     )
     return 0
 

@@ -319,10 +319,12 @@ def expm_action(
             # whether or not they are orthogonal, and below 1e300 a skipped x is
             # finite (sqrt(m) * 1e300 < 1.8e308 for any m below 1e16).
             # Comparisons with inf or nan are False, so a non-finite y forms x
-            # and raises
+            # and raises.  A y whose squares overflow makes upper inf on
+            # purpose, which forms the iterate: no warning is due
             dy = y[:-1] - y_prev
-            step = beta0 * math.sqrt(dy.dot(dy) + y[-1] ** 2)
-            upper = beta0 * math.sqrt(y.dot(y))
+            with np.errstate(over="ignore"):
+                step = beta0 * math.sqrt(dy.dot(dy) + y[-1] ** 2)
+                upper = beta0 * math.sqrt(y.dot(y))
             if s < m and not exact and upper < 1e300 and step > screen * upper:
                 x_prev = None
             else:

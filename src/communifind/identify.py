@@ -6,8 +6,10 @@ the per-node total-communicability scores across those realizations, and
 selects the top-k nodes.  The hosts are built as they are scored, one Krylov
 stack at a time: one :func:`~communifind.graphs.generate` call makes a
 stack's backgrounds as one union graph, one :func:`apply_embedding` call
-overlays the target on all of them, and one solve scores the stack.  The
-identification rate is the fraction of target nodes recovered.  Seeds are
+overlays the target on all of them, and one solve scores the stack, first
+at a loose tolerance; a run's stacks are solved again at ``krylov.tol`` only
+when the loose sums do not certify their top-k set.  The identification
+rate is the fraction of target nodes recovered.  Seeds are
 derived deterministically from the base seed and the run index, so results
 are reproducible and independent of how runs are scheduled across worker
 processes.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import atexit
 import functools
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -27,7 +30,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .communicability import ScoreVector, _summed_stacks, hosts_per_stack
+from .communicability import ScoreVector, _Certified, _certified_stacks, hosts_per_stack
 from .expm import KrylovParams
 from .graphs import Graph, GraphGenSpec, TargetSpec, generate
 from .rng import SeededRng, derive_seed
@@ -174,6 +177,9 @@ class ExperimentConfig:
     ``background.seed`` is ignored: per-background seeds are derived from
     ``base_seed`` and the run index, one run reusing a single embedding
     across all its backgrounds.  ``k`` defaults to the target size.
+    ``krylov.tol`` is the fallback tolerance of :func:`run_pipeline`: a run
+    is solved at it only when a looser first pass does not certify the run's
+    top-k set.
     """
 
     background: GraphGenSpec
@@ -224,6 +230,13 @@ class RunResult:
     """Outcome of a single run: where the target sat, what was recovered,
     and how long each phase of the run took.
 
+    ``margin`` is gap / (2 err) of the scores the candidates came from: the
+    gap between the k-th and (k+1)-th summed score over the error estimate
+    of the sum.  Above 1 it certifies the top-k set, as far as the solves'
+    iterate-change estimate, which is not a bound, holds.  It is inf when k
+    covers every node or the error is 0 with a gap, 0 on an exact tie, and
+    nan for the baseline, which has no certificate.  ``fell_back`` says whether the pipeline solved the run a
+    second time, at ``krylov.tol``, because its first pass did not certify.
     Everything but ``seconds`` is identical for any ``jobs``.
     """
 
@@ -231,6 +244,8 @@ class RunResult:
     candidates: np.ndarray
     hits: int
     rate: float
+    margin: float = math.nan
+    fell_back: bool = False
     seconds: PhaseSeconds = field(default_factory=PhaseSeconds)
 
 
@@ -288,7 +303,8 @@ def _run(
     ``hosts`` are the run's host graphs one by one or, when ``stacked``,
     stacks of :func:`~communifind.communicability.hosts_per_stack` hosts as
     ``(union, blocks)`` pairs.  ``score`` consumes them as it goes, so its
-    time less the hosts' build time is the scoring time.
+    time less the hosts' build time is the scoring time.  Certified scores
+    (the pipeline's) pass their margin and fallback on to the result.
     """
     times = PhaseSeconds()
     embedding = draw_embedding(
@@ -304,7 +320,16 @@ def _run(
     times.scoring = t1 - t0 - times.generation
     hits = int(np.isin(embedding.map, candidates).sum())
     rate = hits / cfg.target.t
-    return RunResult(embedding=embedding, candidates=candidates, hits=hits, rate=rate, seconds=times)
+    certified = isinstance(scored, _Certified)
+    return RunResult(
+        embedding=embedding,
+        candidates=candidates,
+        hits=hits,
+        rate=rate,
+        margin=scored.margin if certified else math.nan,
+        fell_back=certified and scored.fell_back,
+        seconds=times,
+    )
 
 
 def _pool_map(run: Callable[[int], object], runs: int, workers: int) -> list:
@@ -377,17 +402,28 @@ def _map_runs(
 def run_pipeline(cfg: ExperimentConfig, *, jobs: int = 1) -> list[RunResult]:
     """Execute all runs of the experiment across ``jobs`` worker processes.
 
-    Results are identical for any ``jobs``, apart from their phase
+    A run's stacks are solved first at a loose tolerance, and again at
+    ``cfg.krylov.tol`` only when those scores do not certify the run's top-k
+    set (:func:`~communifind.communicability._certified_stacks`); so here
+    ``tol`` is the fallback tolerance, and a certified run's candidates are
+    those of its scores at ``tol`` as far as the solves' error estimate
+    holds.  Results are identical for any ``jobs``, apart from their phase
     ``seconds``: every run derives its own seeds and results are collected
     in run order.
     """
+    k = cfg.effective_k
     return _map_runs(
         cfg,
         jobs,
-        score=functools.partial(_summed_stacks, params=cfg.krylov),
-        select=functools.partial(top_k, k=cfg.effective_k),
+        score=functools.partial(_certified_stacks, params=cfg.krylov, k=k),
+        select=functools.partial(_top_k_certified, k=k),
         stacked=True,
     )
+
+
+def _top_k_certified(scored: _Certified, k: int) -> np.ndarray:
+    """:func:`top_k` of a run's certified scores."""
+    return top_k(scored.scores, k)
 
 
 def summarize_rates(results: Sequence[RunResult]) -> RateSummary:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -293,6 +294,12 @@ def test_experiment_end_to_end(tmp_path, capsys):
         assert run["rate"] == run["hits"] / 20
     assert set(report["phase_seconds"]) == {"generation", "scoring", "selection"}
     assert report["hosts_per_solve"] == communicability.hosts_per_stack(256)
+    margins = [run["margin"] for run in report["runs"]]
+    assert all(m is None or m >= 0.0 for m in margins)
+    assert report["min_margin"] == min(m if m is not None else math.inf for m in margins)
+    assert report["unsettled_runs"] == [i for i, m in enumerate(margins) if m is not None and m < 1.0]
+    assert 0 <= report["first_pass_fallbacks"] <= 3
+    assert f"min_margin={report['min_margin']:.3g}" in printed
 
     with (out_dir / "summary.csv").open() as fh:
         rows = list(csv.DictReader(fh))
@@ -302,6 +309,23 @@ def test_experiment_end_to_end(tmp_path, capsys):
     assert rows[0]["n"] == "256"
     assert rows[0]["runs"] == "3"
     assert float(rows[0]["mean_rate"]) == pytest.approx(report["mean_rate"], abs=1e-6)
+
+
+def test_experiment_names_unsettled_runs(tmp_path, capsys):
+    # complete backgrounds: every node ties, so no margin reaches 1
+    cfg = _write_config(
+        tmp_path,
+        "model = er\nnodes = 30\navg_degree = 29.0\ntarget = clique\ntarget_size = 2\n"
+        "num_backgrounds = 2\nruns = 2\ntop_k = 3\n",
+    )
+    out_dir = tmp_path / "out"
+    assert main(["experiment", str(cfg), "--out-dir", str(out_dir)]) == 0
+    printed = capsys.readouterr().out
+    assert "min_margin=0 unsettled_runs=0,1 " in printed
+    report = json.loads((out_dir / "exp.communicability.json").read_text())
+    assert [run["margin"] for run in report["runs"]] == [0.0, 0.0]
+    assert report["min_margin"] == 0.0 and report["unsettled_runs"] == [0, 1]
+    assert report["first_pass_fallbacks"] == 2
 
 
 def test_experiment_deterministic_reports(tmp_path):
@@ -378,13 +402,16 @@ def test_baseline_end_to_end(tmp_path, capsys):
     out_dir = tmp_path / "out"
     rc = main(["baseline", str(cfg), "--out-dir", str(out_dir)])
     assert rc == 0
-    assert "method=modularity" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "method=modularity" in printed and "margin" not in printed
     report = json.loads((out_dir / "base.modularity.json").read_text())
     assert report["method"] == "modularity"
     assert report["rng"] == "splitmix64-counter"
     assert set(report["phase_seconds"]) == {"generation", "scoring", "selection"}
     assert report["phase_seconds"]["scoring"] > 0
-    assert "hosts_per_solve" not in report
+    # the baseline has no certificate
+    assert "hosts_per_solve" not in report and "min_margin" not in report
+    assert all("margin" not in run for run in report["runs"])
     with (out_dir / "summary.csv").open() as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["method"] == "modularity"

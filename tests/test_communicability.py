@@ -230,6 +230,93 @@ def test_given_stacks_score_as_the_graphs_they_union():
         communicability._summed_stacks([(graphs[0], 1), (disjoint_union(graphs[:2]), 1)], KrylovParams())
 
 
+# =====================================================================
+# The pipeline's certified top-k scores
+# =====================================================================
+
+
+def _recording_solves(monkeypatch, events):
+    def recorded(g, v, params, *, blocks):
+        events.append(("solve", params.tol))
+        return expm_action(g, v, params, blocks=blocks)
+
+    monkeypatch.setattr(communicability, "expm_action", recorded)
+
+
+def _drawn(stacks, events):
+    for i, stack in enumerate(stacks):
+        events.append(("draw", i))
+        yield stack
+
+
+def test_margin_of_the_kth_gap():
+    scores = np.array([5.0, 1.0, 4.0, 2.0, 3.0])
+    assert communicability._margin(scores, 0.25, 2) == pytest.approx(2.0)  # gap 4 - 3
+    assert communicability._margin(scores, 1.0, 4) == pytest.approx(0.5)  # gap 2 - 1
+    assert communicability._margin(scores, 0.0, 2) == math.inf
+    assert communicability._margin(scores, 1e9, 5) == math.inf  # k covers every node
+    assert communicability._margin(np.array([2.0, 1.0, 1.0]), 0.0, 2) == 0.0  # a tie
+
+
+def test_certified_run_solves_each_stack_once(monkeypatch):
+    spec = GraphGenSpec(model="er", n=1024, avg_degree=2.0)
+    stacks = [(generate(spec, [1, 2, 3]), 3), (generate(spec, [4, 5]), 2)]
+    events = []
+    _recording_solves(monkeypatch, events)
+    params = KrylovParams()
+    got = communicability._certified_stacks(_drawn(stacks, events), params, k=20)
+    first = ("solve", communicability._FIRST_TOL)
+    assert events == [("draw", 0), first, ("draw", 1), first]
+    assert not got.fell_back and got.margin > 1.0
+    assert got.scores.num_backgrounds == 5
+    exact = communicability._summed_stacks(iter(stacks), params)
+    assert np.array_equal(top_k(got.scores, 20), top_k(exact, 20))
+
+
+def test_exact_tie_falls_back_to_tol(monkeypatch):
+    # every node of a cycle scores the same, and the solve is exact: the
+    # gap is 0, so no first pass can certify; the kept stacks are solved
+    # again without being drawn again
+    cycle = Graph.from_pairs(12, [(i, (i + 1) % 12) for i in range(12)])
+    stacks = [(disjoint_union([cycle, cycle]), 2), (cycle, 1)]
+    events = []
+    _recording_solves(monkeypatch, events)
+    params = KrylovParams()
+    got = communicability._certified_stacks(_drawn(stacks, events), params, k=3)
+    first, second = ("solve", communicability._FIRST_TOL), ("solve", params.tol)
+    assert events == [("draw", 0), first, ("draw", 1), first, second, second]
+    assert got.fell_back and got.margin == 0.0
+    assert got.scores.scores.tobytes() == communicability._summed_stacks(iter(stacks), params).scores.tobytes()
+    assert top_k(got.scores, 3).tolist() == [0, 1, 2]
+
+
+def test_unconverged_first_pass_falls_back_lazily(monkeypatch):
+    # a first-pass solve that does not converge sends its stack and the
+    # rest, drawn only now, to tol; with the same budget they raise there,
+    # with the caller's tol
+    g = generate(GraphGenSpec(model="sw", n=2000, k=40, beta=0.1, seed=1))
+    events = []
+    _recording_solves(monkeypatch, events)
+    params = KrylovParams(m=4)
+    with pytest.raises(KrylovNotConvergedError) as caught:
+        communicability._certified_stacks(_drawn([(g, 1), (g, 1)], events), params, k=20)
+    assert events == [("draw", 0), ("solve", communicability._FIRST_TOL), ("solve", params.tol)]
+    assert caught.value.tol == params.tol and caught.value.iterations == 4
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-3])
+def test_loose_user_tol_makes_one_pass(monkeypatch, tol):
+    assert tol >= communicability._FIRST_TOL
+    cycle = Graph.from_pairs(12, [(i, (i + 1) % 12) for i in range(12)])
+    g = generate(GraphGenSpec(model="ba", n=500, m=3, seed=2))
+    for graph in (cycle, g):  # a tie and a certified set alike
+        events = []
+        _recording_solves(monkeypatch, events)
+        got = communicability._certified_stacks(_drawn([(graph, 1)], events), KrylovParams(tol=tol), k=3)
+        assert events == [("draw", 0), ("solve", tol)]
+        assert not got.fell_back
+
+
 @pytest.mark.parametrize("graphs", [1, 2])
 def test_unconverged_solves_raise(graphs):
     # expm_action returns the unconverged result; the scores refuse it

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,21 @@ def test_overflow_raises_breakdown():
     # exp(759) overflows: the exact one-step answer is not representable
     with pytest.raises(NumericalBreakdownError):
         expm_action(clique(760).to_graph(), np.ones(760))
+
+
+def test_overflowing_screen_warns_nothing_and_keeps_the_value():
+    # exp(699) is finite, but the squares of the screen's norms overflow:
+    # the inf they give forms the iterate on purpose, so no warning leaks
+    g = clique(700).to_graph()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        quiet = expm_action(g, np.ones(700))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loud = expm_action(g, np.ones(700))
+    assert loud.converged and loud.value.tobytes() == quiet.value.tobytes()
+    # exp amplifies the rounding of alpha = 699 by 699
+    assert np.abs(loud.value / math.exp(699) - 1.0).max() <= 1e-10
 
 
 def test_tridiagonal_eigensolver_failure_raises_breakdown(monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 
 import numpy as np
@@ -359,6 +360,8 @@ def test_pipeline_trivial_when_target_fills_background():
     )
     for r in run_pipeline(cfg):
         assert r.rate == 1.0 and r.hits == 20
+        # k covers every node: no gap is needed
+        assert r.margin == math.inf and not r.fell_back
 
 
 def test_run_results_internally_consistent():
@@ -383,6 +386,7 @@ def test_pipeline_deterministic_across_calls_and_jobs():
         assert np.array_equal(x.embedding.map, y.embedding.map)
         assert np.array_equal(x.candidates, y.candidates)
         assert x.rate == y.rate
+        assert x.margin == y.margin and x.fell_back == y.fell_back
 
 
 def _same_runs(a, b) -> bool:
@@ -391,6 +395,8 @@ def _same_runs(a, b) -> bool:
         and np.array_equal(x.candidates, y.candidates)
         and x.hits == y.hits
         and x.rate == y.rate
+        and (x.margin == y.margin or math.isnan(x.margin) and math.isnan(y.margin))
+        and x.fell_back == y.fell_back
         for x, y in zip(a, b)
     )
 
@@ -432,6 +438,34 @@ def test_unconverged_run_raises_at_any_jobs():
             run_pipeline(cfg, jobs=jobs)
         assert caught.value.tol == cfg.krylov.tol and caught.value.iterations == 3
         assert caught.value.est_error > cfg.krylov.tol
+
+
+# The four row shapes of the benchmark, at n = 1024 with k = 20.
+_BENCH_ROWS = {
+    "er-avg2-sparse-N40": (GraphGenSpec(model="er", n=1024, avg_degree=2.0), canonical_sparse_target(0), 40),
+    "sw-k40-clique-N2": (GraphGenSpec(model="sw", n=1024, k=40, beta=0.1), clique(20), 2),
+    "er-avg39-clique-N1": (GraphGenSpec(model="er", n=1024, avg_degree=39.0), clique(20), 1),
+    "ba-m10-clique-N1": (GraphGenSpec(model="ba", n=1024, m=10), clique(20), 1),
+}
+
+
+@pytest.mark.parametrize("row", list(_BENCH_ROWS))
+def test_certified_candidates_are_those_at_tol(row):
+    # a run keeps its first-pass scores only when they certify their top-k
+    # set; the candidates must be those of the scores at tol either way
+    background, target, num_backgrounds = _BENCH_ROWS[row]
+    cfg = ExperimentConfig(
+        background=background, target=target, num_backgrounds=num_backgrounds, runs=50, base_seed=11_000_000, k=20
+    )
+    results = run_pipeline(cfg)
+    per_stack = communicability.hosts_per_stack(1024)
+    for i, r in enumerate(results):
+        hosts = identify._hosts(cfg, i, r.embedding, identify.PhaseSeconds(), per_stack)
+        at_tol = communicability._summed_stacks(hosts, cfg.krylov)
+        assert np.array_equal(r.candidates, top_k(at_tol, 20))
+        assert r.fell_back or r.margin > 1.0
+    # most runs are settled by the first pass
+    assert sum(r.fell_back for r in results) < cfg.runs // 2
 
 
 def test_stacked_scoring_matches_one_solve_per_background(monkeypatch):

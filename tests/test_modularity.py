@@ -398,6 +398,7 @@ def test_baseline_run_deterministic_across_jobs():
         assert np.array_equal(x.embedding.map, y.embedding.map)
         assert np.array_equal(x.candidates, y.candidates)
         assert x.rate == y.rate
+        assert np.isnan(x.margin) and np.isnan(y.margin)
 
 
 def test_baseline_coeff_window_must_match():
@@ -411,3 +412,5 @@ def test_baseline_results_consistent():
         assert r.hits == int(np.isin(r.embedding.map, r.candidates).sum())
         assert r.rate == r.hits / 10
         assert np.all(np.diff(r.candidates) > 0)
+        # the baseline has no certificate
+        assert np.isnan(r.margin) and not r.fell_back
