@@ -10,21 +10,27 @@ Two walk-based centralities of the adjacency exponential:
 Scores from several background realizations are combined by plain entrywise
 summation — never averaged — so that consistent structure reinforces while
 incidental background fluctuations wash out.  Every total-communicability
-score comes from one function, ``_summed_with_error``: one Krylov solve per
-stack of up to :func:`hosts_per_stack` equal-size graphs, with the blocks
-summed in order.  The pipeline builds its hosts as such stacks and scores
-them through :func:`_certified_stacks`; :func:`summed_total_communicability`
-stacks graphs given one by one, and :func:`total_communicability` is its
-one-graph case.
+score is one Krylov solve per stack of up to :func:`hosts_per_stack`
+equal-size graphs, with the blocks and then the stacks summed in order.
+The pipeline builds its hosts as such stacks and scores them through
+:func:`_certified_stacks`; :func:`summed_total_communicability` stacks
+graphs given one by one, and :func:`total_communicability` is its one-graph
+case.
 
-The pipeline needs only the top-k set of the summed scores, so it first
-solves a run's stacks at the loose tolerance ``_FIRST_TOL`` and keeps those
-scores when they certify their own top-k set: the gap between the k-th and
-the (k+1)-th score exceeds twice the error estimate of the sum.  Otherwise
-it solves the same stacks again at ``params.tol``.  The estimate rests on
-each solve's relative change between its last two iterates (Saad, SIAM J.
-Numer. Anal. 1992), which is not a bound, so a certified set is the one the
-scores at ``params.tol`` give only as far as that estimate holds.
+The pipeline needs only the top-k set of the summed scores.  It solves a
+run's stacks but the last at the loose tolerance ``_FIRST_TOL``, and the
+last toward ``params.tol`` with a certificate hook in
+:func:`~communifind.expm.expm_action`: from the first step whose projected
+relative change is at most ``_CERT_SCREEN``, every iterate is tested, and
+the first one whose sum certifies the top-k set stops the solve.  The set
+is certified when the gap between the k-th and the (k+1)-th score exceeds
+twice the error estimate of the sum, which adds over the stacks the
+entrywise change of each stack's summed blocks between its last two
+iterates (Saad's iterate-change estimate, SIAM J. Numer. Anal. 1992).  That
+estimate is not a bound, so a certified set is the one the scores at
+``params.tol`` give only as far as it holds.  A last stack that never
+certifies ends at ``params.tol`` as a solve without the hook does, and only
+the earlier stacks are solved again, at ``params.tol``.
 """
 
 from __future__ import annotations
@@ -63,16 +69,24 @@ _SC_MAX_NODES = 512
 # 40 took ~21% less time than 8, but 13-15% more peak RSS.  Stacking dense
 # graphs can raise the steps of a solve instead (er avg 39: 12 steps alone,
 # 25 in a stack of 8).  Larger graphs are scored one at a time.  Read
-# through hosts_per_stack.  The pipeline solves a stack once at _FIRST_TOL,
-# and a second time at its tol only when the run's top-k set is not
-# certified, so its stacks are kept for that second pass.
+# through hosts_per_stack.  The pipeline solves every stack of a run but the
+# last one once at _FIRST_TOL, and again at its tol only when the last
+# stack does not certify the run's top-k set, so it keeps those stacks.
 _STACK_NODES = 20480
-# Tolerance of the pipeline's first pass over a run's stacks.  On 200 runs
-# of each bench row (n = 1024, k = 20) at three base seeds, the first pass
-# certified all but 0-6 er(avg 2) runs, every sw(k=40) run, all but 13-21
-# er(avg 39) and 0-5 ba(m=10) runs, and its solves took 30-42% fewer steps
-# than at 1e-8 (er avg 2: 15.3 -> 10.7; sw: 26.2 -> 16.1).
+# Tolerance of the solves of a run's stacks before its last.  On 200 runs of
+# each bench row (n = 1024, k = 20) at three base seeds, sums of such solves
+# (then all of a run's stacks) certified all but 0-6 er(avg 2) runs, and
+# the solves took 30% fewer steps than at 1e-8 (15.3 -> 10.7).  Solved
+# with the certificate stop, the last er(avg 2) stack takes ~7 steps, and
+# all but 0-1 runs certify.
 _FIRST_TOL = 1e-4
+# Projected relative change of a step (the screen of expm_action) from which
+# the solve of a run's last stack offers every iterate to its certificate.
+# Each offer costs an iterate (a GEMV over the basis) and a margin.  On 100
+# runs of each bench row the first offer certified in 94% of er(avg 2), all
+# sw(k=40), 58% of er(avg 39) and 49% of ba(m=10) runs, and no certified
+# stop took more than five offers.
+_CERT_SCREEN = 1e-2
 
 
 @dataclass(frozen=True)
@@ -197,20 +211,8 @@ def _summed_stacks(stacks: Iterable[tuple[Graph, int]], params: KrylovParams) ->
     one after another; it gets one Krylov solve, and its blocks are summed in
     order.
     """
-    return _summed_with_error(stacks, params)[0]
-
-
-def _summed_with_error(stacks: Iterable[tuple[Graph, int]], params: KrylovParams) -> tuple[ScoreVector, float]:
-    """:func:`_summed_stacks`, and the error estimate of the sum.
-
-    A solve's ``est_error`` bounds the relative change of each block's
-    iterate, so each stack adds ``est_error`` times the sum of its blocks'
-    norms: an estimate of the 2-norm, and so of the largest entry, of the
-    error of the sum.
-    """
     scores = None
     count = 0
-    err = 0.0
     for union, blocks in stacks:
         n = union.n // blocks
         if scores is None:
@@ -220,13 +222,11 @@ def _summed_with_error(stacks: Iterable[tuple[Graph, int]], params: KrylovParams
         result = expm_action(union, np.ones(union.n), params, blocks=blocks)
         if not result.converged:
             raise KrylovNotConvergedError(result.est_error, params.tol, result.iterations)
-        parts = result.value.reshape(blocks, n)
-        scores += parts.sum(axis=0)
-        err += result.est_error * float(np.linalg.norm(parts, axis=1).sum())
+        scores += result.value.reshape(blocks, n).sum(axis=0)
         count += blocks
     if scores is None:
         raise ValueError("summed_total_communicability needs at least one graph")
-    return ScoreVector(scores=scores, kind="tc_sum", num_backgrounds=count), err
+    return ScoreVector(scores=scores, kind="tc_sum", num_backgrounds=count)
 
 
 def _margin(scores: np.ndarray, err: float, k: int) -> float:
@@ -247,36 +247,130 @@ def _margin(scores: np.ndarray, err: float, k: int) -> float:
     return gap / (2.0 * err) if err else math.inf
 
 
-def _certified_stacks(stacks: Iterable[tuple[Graph, int]], params: KrylovParams, k: int) -> _Certified:
-    """Summed scores of a run's stacks that settle its top-k set, in one or two passes.
+class _Change:
+    """Certificate hook of :func:`~communifind.expm.expm_action` that only records.
 
-    The first pass solves each stack at ``_FIRST_TOL``, as it comes, and
-    keeps it.  Its scores stand when their margin exceeds 1; otherwise, or
-    when a first-pass solve does not converge, the kept stacks and the rest
-    are solved at ``params.tol``, as :func:`_summed_stacks` solves them.  With
-    ``params.tol`` at or above ``_FIRST_TOL`` there is one pass, at
-    ``params.tol``.  The margin returned is that of the scores returned.
+    It keeps the change of the last iterate pair offered to it, summed over
+    the blocks entry by entry: ``max_i sum_b |x_b - x_prev_b|_i``, an
+    estimate of the largest error of the stack's summed scores.  Its screen
+    of 0 makes the solve form no iterate that it would not form without it.
+    """
+
+    screen = 0.0
+
+    def __init__(self, blocks: int) -> None:
+        self.blocks = blocks
+        self.change = 0.0
+
+    def __call__(self, x: np.ndarray, x_prev: np.ndarray) -> bool:
+        self.change = float(np.abs(x - x_prev).reshape(self.blocks, -1).sum(axis=0).max())
+        return False
+
+
+class _Stop(_Change):
+    """Certificate hook of a run's last stack: it stops the solve at the first
+    iterate whose blocks, added to the sum ``scores`` of the earlier stacks
+    with error estimate ``err``, certify the top-k set (margin above 1)."""
+
+    screen = _CERT_SCREEN
+
+    def __init__(self, blocks: int, scores: np.ndarray, err: float, k: int) -> None:
+        super().__init__(blocks)
+        self.scores = scores
+        self.err = err
+        self.k = k
+
+    def __call__(self, x: np.ndarray, x_prev: np.ndarray) -> bool:
+        super().__call__(x, x_prev)
+        total = self.scores + x.reshape(self.blocks, -1).sum(axis=0)
+        return _margin(total, self.err + self.change, self.k) > 1.0
+
+
+def _solved(union: Graph, blocks: int, params: KrylovParams, hook: _Change | None = None) -> tuple[np.ndarray, float]:
+    """One stack's blocks summed, and the recorded change of that sum (0 when exact).
+
+    Raises :class:`~communifind.expm.KrylovNotConvergedError` when the solve
+    does not converge.
+    """
+    hook = hook or _Change(blocks)
+    result = expm_action(union, np.ones(union.n), params, blocks=blocks, _certify=hook)
+    if not result.converged:
+        raise KrylovNotConvergedError(result.est_error, params.tol, result.iterations)
+    # an exact solve returns before the hook sees its last iterate
+    return result.value.reshape(blocks, -1).sum(axis=0), hook.change if result.est_error else 0.0
+
+
+def _solved_stacks(
+    stacks: Iterable[tuple[Graph, int]], params: KrylovParams
+) -> Iterator[tuple[np.ndarray, float, int]]:
+    """``(summed blocks, change, blocks)`` of each stack solved at ``params``, as drawn."""
+    for union, blocks in stacks:
+        yield (*_solved(union, blocks, params), blocks)
+
+
+def _summed_parts(parts: Iterable[tuple[np.ndarray, float, int]], k: int, fell_back: bool) -> _Certified:
+    """The sum of solved stacks, in order, with the margin of its top-k set."""
+    scores = None
+    err = 0.0
+    count = 0
+    for part, change, blocks in parts:
+        if scores is None:
+            scores = np.zeros(part.size)
+        scores += part
+        err += change
+        count += blocks
+    return _Certified(ScoreVector(scores, "tc_sum", count), _margin(scores, err, k), fell_back)
+
+
+def _certified_stacks(
+    stacks: Iterable[tuple[Graph, int]], params: KrylovParams, k: int, backgrounds: int
+) -> _Certified:
+    """Summed scores of a run's stacks, of ``backgrounds`` graphs in all, that settle its top-k set.
+
+    Every stack but the last is solved at ``_FIRST_TOL``, as it comes, and
+    kept.  The last is solved at ``params.tol`` with the :class:`_Stop`
+    hook, which ends the solve at the first iterate that certifies the sum:
+    err adds, over the stacks, the entrywise change of each stack's summed
+    blocks between its last two iterates.  When the last stack's solve
+    reaches ``tol`` (or is exact) without a certificate, the earlier stacks
+    are solved again at ``params.tol``, and the sum is :func:`_summed_stacks`'
+    bytes; so is it, drawn lazily, when an earlier solve does not converge.
+    A one-stack run never solves twice.  With ``params.tol`` at or above
+    ``_FIRST_TOL`` every stack is solved once, at ``params.tol``, with no
+    stop.  ``fell_back`` says whether the scores are those at ``params.tol``
+    because no certificate stopped them; the margin is that of the scores
+    returned.
     """
     stacks = iter(stacks)
-    if params.tol < _FIRST_TOL:
-        kept: list[tuple[Graph, int]] = []
-
-        def keeping() -> Iterator[tuple[Graph, int]]:
-            for stack in stacks:
-                kept.append(stack)
-                yield stack
-
+    if params.tol >= _FIRST_TOL:
+        return _summed_parts(_solved_stacks(stacks, params), k, fell_back=False)
+    first = replace(params, tol=_FIRST_TOL)
+    kept: list[tuple[Graph, int]] = []
+    scores = None
+    err = 0.0
+    count = 0
+    for union, blocks in stacks:
+        if scores is None:
+            scores = np.zeros(union.n // blocks)
+        count += blocks
+        if count >= backgrounds:
+            break
+        kept.append((union, blocks))
         try:
-            scores, err = _summed_with_error(keeping(), replace(params, tol=_FIRST_TOL))
+            part, change = _solved(union, blocks, first)
         except KrylovNotConvergedError:
-            pass
-        else:
-            margin = _margin(scores.scores, err, k)
-            if margin > 1.0:
-                return _Certified(scores, margin, fell_back=False)
-        stacks = itertools.chain(kept, stacks)
-    scores, err = _summed_with_error(stacks, params)
-    return _Certified(scores, _margin(scores.scores, err, k), fell_back=params.tol < _FIRST_TOL)
+            return _summed_parts(_solved_stacks(itertools.chain(kept, stacks), params), k, fell_back=True)
+        scores += part
+        err += change
+    else:
+        raise ValueError(f"the stacks hold only {count} of {backgrounds} backgrounds")
+    last, change = _solved(union, blocks, params, _Stop(blocks, scores, err, k))
+    scores += last
+    margin = _margin(scores, err + change, k)
+    if margin > 1.0:
+        return _Certified(ScoreVector(scores, "tc_sum", count), margin, fell_back=False)
+    resolved = itertools.chain(_solved_stacks(kept, params), [(last, change, blocks)])
+    return _summed_parts(resolved, k, fell_back=True)
 
 
 def accumulate(vectors: Sequence[ScoreVector]) -> ScoreVector:

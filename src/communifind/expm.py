@@ -41,12 +41,21 @@ dense solve, where it fails at the first step, pays one check.  On an
 solves instead of 15, and the solve takes 8-12% less time (in-process
 medians of 40-60 interleaved rounds, 2-vCPU VM); on the dense headline
 solves it skips none, and their times stay within the ~2-5% noise.
+
+A private hook (``_certify``, used by
+:func:`communifind.communicability._certified_stacks`) can stop a solve
+before ``tol``: from the first step whose projected change is at most the
+hook's own, looser screen, every step forms its iterate and offers it, with
+the previous one, to the hook.  ``tol`` is tested only where the plain
+screen forms the iterate, so a solve the hook does not stop returns the
+bytes of a solve without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 import scipy.linalg.lapack
@@ -127,15 +136,31 @@ class KrylovParams:
 class ExpmResult:
     """Approximation of exp(A) v with its error estimate and step count.
 
-    ``converged`` is True when ``tol`` was met or an invariant subspace made
-    the result exact within ``m`` steps, False when the step budget ran out
-    first.
+    ``converged`` is True when ``tol`` was met, an invariant subspace made
+    the result exact, or the caller's certificate hook stopped the solve
+    within ``m`` steps, False when the step budget ran out first.
+    ``certified`` is True when the hook, not ``tol``, stopped it; then
+    ``est_error`` may exceed ``tol``.
     """
 
     value: np.ndarray
     est_error: float
     iterations: int
     converged: bool
+    certified: bool = False
+
+
+class _Certificate(Protocol):
+    """The private stopping hook of :func:`expm_action`.
+
+    From the first step whose projected relative change is at most
+    ``screen`` on, the solve forms every iterate, and it calls the hook with
+    each formed iterate and the one before; a True return stops the solve.
+    """
+
+    screen: float
+
+    def __call__(self, x: np.ndarray, x_prev: np.ndarray) -> bool: ...
 
 
 def _expm_first_col(alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
@@ -207,7 +232,12 @@ def _relative_change(x: np.ndarray, x_prev: np.ndarray, blocks: int) -> float:
 
 
 def expm_action(
-    g: Graph, v: np.ndarray, params: KrylovParams = KrylovParams(), *, blocks: int = 1
+    g: Graph,
+    v: np.ndarray,
+    params: KrylovParams = KrylovParams(),
+    *,
+    blocks: int = 1,
+    _certify: _Certificate | None = None,
 ) -> ExpmResult:
     """Approximate ``exp(A) v`` for the adjacency matrix A of ``g``.
 
@@ -239,6 +269,16 @@ def expm_action(
         ``tol``; use the number of graphs when ``g`` is a
         :func:`~communifind.graphs.disjoint_union`, so a small or weak block
         is not judged converged on the strength of a dominant one.
+    _certify : optional
+        Private stopping hook of the pipeline's certified top-k scoring
+        (:class:`_Certificate`).  From the first step whose projected
+        relative change is at most ``_certify.screen`` on, every step forms
+        its iterate, and the hook gets each formed iterate with the one
+        before, ahead of the ``tol`` test; a True return ends the solve with
+        ``certified`` set.  ``tol`` is still tested only at the steps that
+        the screen of a solve without the hook forms, so a solve that the
+        hook does not stop returns that solve's bytes.  The skip bound then
+        proves its skips against the looser of the two screens.
 
     Returns
     -------
@@ -247,7 +287,8 @@ def expm_action(
         change of a block of the final iterate (0.0 when an invariant
         subspace made the result exact), ``iterations`` the Lanczos steps
         taken, ``converged`` whether ``tol`` was met (or the result is
-        exact) within ``params.m`` steps.
+        exact, or the hook stopped the solve) within ``params.m`` steps,
+        ``certified`` whether the hook stopped it.
 
     Raises
     ------
@@ -280,8 +321,9 @@ def expm_action(
     betas = np.empty(m)  # its off-diagonal
     scratch = np.empty(n)
     screen = 2.0 * params.tol + _SCREEN_SLACK
-    bound = _SkipBound(screen, beta0)
+    bound = _SkipBound(screen if _certify is None else max(screen, _certify.screen), beta0)
     provable = True  # the bound skipped every step so far
+    certifying = False  # a step's projected change reached the hook's screen
     diff = np.inf
     # iterate of the previous step, or None when that step skipped it
     x_prev = None
@@ -306,8 +348,8 @@ def expm_action(
         # once the bound fails it is not evaluated again
         provable = provable and s < m and not exact and bound.skips(alpha)
         if provable:
-            # the screen below would skip this step, as it skipped the ones
-            # before, so x_prev is None already: no y is needed
+            # the screens below would skip this step, as they skipped the
+            # ones before, so x_prev is None already: no y is needed
             y_prev = None
         else:
             if y_prev is None:
@@ -325,7 +367,10 @@ def expm_action(
             with np.errstate(over="ignore"):
                 step = beta0 * math.sqrt(dy.dot(dy) + y[-1] ** 2)
                 upper = beta0 * math.sqrt(y.dot(y))
-            if s < m and not exact and upper < 1e300 and step > screen * upper:
+            # plain: the screen of a solve without the hook forms this iterate
+            plain = not (s < m and not exact and upper < 1e300 and step > screen * upper)
+            certifying = certifying or (_certify is not None and step <= _certify.screen * upper)
+            if not (plain or certifying):
                 x_prev = None
             else:
                 if x_prev is None and s > 1:
@@ -333,13 +378,18 @@ def expm_action(
                 x = beta0 * (basis[:s].T @ y)
                 if not np.all(np.isfinite(x)):
                     raise NumericalBreakdownError("non-finite iterate (exp overflow?)")
-                if x_prev is not None:
-                    diff = _relative_change(x, x_prev, blocks)
-                x_prev = x
                 if exact:
                     # invariant subspace reached: the approximation is exact
                     return ExpmResult(value=x, est_error=0.0, iterations=s, converged=True)
-                if diff <= params.tol:
+                stop = _certify is not None and x_prev is not None and _certify(x, x_prev)
+                # tol is tested only where a solve without the hook tests it,
+                # so a solve that the hook does not stop ends as that one
+                if x_prev is not None and (plain or stop):
+                    diff = _relative_change(x, x_prev, blocks)
+                x_prev = x
+                if stop:
+                    return ExpmResult(value=x, est_error=diff, iterations=s, converged=True, certified=True)
+                if plain and diff <= params.tol:
                     return ExpmResult(value=x, est_error=diff, iterations=s, converged=True)
             y_prev = y
         if s < m:

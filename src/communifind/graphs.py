@@ -524,16 +524,14 @@ def gen_watts_strogatz(spec: GraphGenSpec) -> Graph:
         raise ValueError("gen_watts_strogatz requires an 'sw' spec")
     n, k, beta = spec.n, spec.k, spec.beta
     half = k // 2
-    near = np.tile(np.arange(n, dtype=np.int64), half)
-    far = (near + np.repeat(np.arange(1, half + 1, dtype=np.int64), n)) % n
-    keep = np.ones(n * half, dtype=bool)
+    near, far, lattice, position = _ring_lattice(n, k)
+    rewired: list[int] = []
     added: set[int] = set()
     if beta > 0.0:
         rng = SeededRng(spec.seed)
         chosen = np.flatnonzero(rng.uniforms(n * half) < beta)
         ends: list[int] = []  # pre-drawn endpoints, read from ends[at] on
         at = 0
-        rewired: list[int] = []
         removed: set[int] = set()
         degree = [k] * n
         for j, u, old in zip(chosen.tolist(), near[chosen].tolist(), far[chosen].tolist()):
@@ -558,11 +556,34 @@ def gen_watts_strogatz(spec: GraphGenSpec) -> Graph:
             degree[old] -= 1
             degree[w] += 1
             added.add(code)
-        keep[rewired] = False
-    lo = np.minimum(near[keep], far[keep])
-    hi = np.maximum(near[keep], far[keep])
-    codes = np.concatenate([lo * n + hi, np.fromiter(added, dtype=np.int64, count=len(added))])
-    return Graph._from_codes(n, np.sort(codes))
+    # the kept lattice codes are ascending already; the few added ones (not
+    # adjacent when drawn, so none of them is kept) are merged in
+    keep = np.ones(lattice.size, dtype=bool)
+    keep[position[rewired]] = False
+    kept = lattice[keep]
+    new = np.sort(np.fromiter(added, dtype=np.int64, count=len(added)))
+    return Graph._from_codes(n, np.insert(kept, np.searchsorted(kept, new), new))
+
+
+@functools.lru_cache(maxsize=8)
+def _ring_lattice(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ring lattice of :func:`gen_watts_strogatz`, cached per ``(n, k)``, read-only.
+
+    Returns the near and far ends of each lattice edge ``j`` (``j % n`` and
+    ``j % n + j // n + 1``, mod n), the lattice's edge codes in ascending
+    order, and each edge's position among them.
+    """
+    half = k // 2
+    near = np.tile(np.arange(n, dtype=np.int64), half)
+    far = (near + np.repeat(np.arange(1, half + 1, dtype=np.int64), n)) % n
+    codes = np.minimum(near, far) * n + np.maximum(near, far)
+    order = np.argsort(codes)
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    lattice = codes[order]
+    for arr in (near, far, lattice, position):
+        arr.flags.writeable = False
+    return near, far, lattice, position
 
 
 # =====================================================================

@@ -6,10 +6,11 @@ the per-node total-communicability scores across those realizations, and
 selects the top-k nodes.  The hosts are built as they are scored, one Krylov
 stack at a time: one :func:`~communifind.graphs.generate` call makes a
 stack's backgrounds as one union graph, one :func:`apply_embedding` call
-overlays the target on all of them, and one solve scores the stack, first
-at a loose tolerance; a run's stacks are solved again at ``krylov.tol`` only
-when the loose sums do not certify their top-k set.  The identification
-rate is the fraction of target nodes recovered.  Seeds are
+overlays the target on all of them, and one solve scores the stack: at a
+loose tolerance, but for the last stack, which is solved toward
+``krylov.tol`` until the run's sum certifies its top-k set; the earlier
+stacks are solved again at ``krylov.tol`` only when it never does.  The
+identification rate is the fraction of target nodes recovered.  Seeds are
 derived deterministically from the base seed and the run index, so results
 are reproducible and independent of how runs are scheduled across worker
 processes.
@@ -177,9 +178,9 @@ class ExperimentConfig:
     ``background.seed`` is ignored: per-background seeds are derived from
     ``base_seed`` and the run index, one run reusing a single embedding
     across all its backgrounds.  ``k`` defaults to the target size.
-    ``krylov.tol`` is the fallback tolerance of :func:`run_pipeline`: a run
-    is solved at it only when a looser first pass does not certify the run's
-    top-k set.
+    ``krylov.tol`` is the fallback tolerance of :func:`run_pipeline`: a run's
+    scores are those at it only when no certificate of the run's top-k set
+    stops the solve of its last stack first.
     """
 
     background: GraphGenSpec
@@ -235,8 +236,10 @@ class RunResult:
     of the sum.  Above 1 it certifies the top-k set, as far as the solves'
     iterate-change estimate, which is not a bound, holds.  It is inf when k
     covers every node or the error is 0 with a gap, 0 on an exact tie, and
-    nan for the baseline, which has no certificate.  ``fell_back`` says whether the pipeline solved the run a
-    second time, at ``krylov.tol``, because its first pass did not certify.
+    nan for the baseline, which has no certificate.  ``fell_back`` says
+    whether the run's scores are those at ``krylov.tol``, because no
+    certificate stopped the solve of its last stack (its earlier stacks were
+    then solved a second time, at ``krylov.tol``).
     Everything but ``seconds`` is identical for any ``jobs``.
     """
 
@@ -402,12 +405,14 @@ def _map_runs(
 def run_pipeline(cfg: ExperimentConfig, *, jobs: int = 1) -> list[RunResult]:
     """Execute all runs of the experiment across ``jobs`` worker processes.
 
-    A run's stacks are solved first at a loose tolerance, and again at
-    ``cfg.krylov.tol`` only when those scores do not certify the run's top-k
-    set (:func:`~communifind.communicability._certified_stacks`); so here
-    ``tol`` is the fallback tolerance, and a certified run's candidates are
-    those of its scores at ``tol`` as far as the solves' error estimate
-    holds.  Results are identical for any ``jobs``, apart from their phase
+    A run's stacks are solved at a loose tolerance, but for the last, which
+    is solved toward ``cfg.krylov.tol`` until the run's summed scores
+    certify its top-k set; the earlier stacks are solved again at ``tol``
+    only when they never do
+    (:func:`~communifind.communicability._certified_stacks`, told the run's
+    background count).  So here ``tol`` is the fallback tolerance, and a
+    certified run's candidates are those of its scores at ``tol`` as far as
+    the solves' error estimate holds.  Results are identical for any ``jobs``, apart from their phase
     ``seconds``: every run derives its own seeds and results are collected
     in run order.
     """
@@ -415,7 +420,7 @@ def run_pipeline(cfg: ExperimentConfig, *, jobs: int = 1) -> list[RunResult]:
     return _map_runs(
         cfg,
         jobs,
-        score=functools.partial(_certified_stacks, params=cfg.krylov, k=k),
+        score=functools.partial(_certified_stacks, params=cfg.krylov, k=k, backgrounds=cfg.num_backgrounds),
         select=functools.partial(_top_k_certified, k=k),
         stacked=True,
     )

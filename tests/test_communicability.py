@@ -27,7 +27,7 @@ from communifind import (
     total_communicability,
     write_scores_csv,
 )
-from communifind import communicability
+from communifind import communicability, expm
 from conftest import mixed_model_spec
 
 
@@ -235,10 +235,14 @@ def test_given_stacks_score_as_the_graphs_they_union():
 # =====================================================================
 
 
-def _recording_solves(monkeypatch, events):
-    def recorded(g, v, params, *, blocks):
-        events.append(("solve", params.tol))
-        return expm_action(g, v, params, blocks=blocks)
+def _recording_solves(monkeypatch, events, results=None):
+    # ("stop", tol) is a solve under the last stack's certificate
+    def recorded(g, v, params, *, blocks, _certify=None):
+        events.append(("stop" if isinstance(_certify, communicability._Stop) else "solve", params.tol))
+        result = expm_action(g, v, params, blocks=blocks, _certify=_certify)
+        if results is not None:
+            results.append(result)
+        return result
 
     monkeypatch.setattr(communicability, "expm_action", recorded)
 
@@ -247,6 +251,10 @@ def _drawn(stacks, events):
     for i, stack in enumerate(stacks):
         events.append(("draw", i))
         yield stack
+
+
+def _cycle():
+    return Graph.from_pairs(12, [(i, (i + 1) % 12) for i in range(12)])
 
 
 def test_margin_of_the_kth_gap():
@@ -259,15 +267,17 @@ def test_margin_of_the_kth_gap():
 
 
 def test_certified_run_solves_each_stack_once(monkeypatch):
+    # the first stack is solved at _FIRST_TOL, the last one at tol until
+    # its certificate stops it; nothing is solved twice
     spec = GraphGenSpec(model="er", n=1024, avg_degree=2.0)
     stacks = [(generate(spec, [1, 2, 3]), 3), (generate(spec, [4, 5]), 2)]
-    events = []
-    _recording_solves(monkeypatch, events)
+    events, results = [], []
+    _recording_solves(monkeypatch, events, results)
     params = KrylovParams()
-    got = communicability._certified_stacks(_drawn(stacks, events), params, k=20)
-    first = ("solve", communicability._FIRST_TOL)
-    assert events == [("draw", 0), first, ("draw", 1), first]
+    got = communicability._certified_stacks(_drawn(stacks, events), params, k=20, backgrounds=5)
+    assert events == [("draw", 0), ("solve", communicability._FIRST_TOL), ("draw", 1), ("stop", params.tol)]
     assert not got.fell_back and got.margin > 1.0
+    assert results[-1].certified and results[-1].converged and results[-1].est_error > params.tol
     assert got.scores.num_backgrounds == 5
     exact = communicability._summed_stacks(iter(stacks), params)
     assert np.array_equal(top_k(got.scores, 20), top_k(exact, 20))
@@ -275,19 +285,109 @@ def test_certified_run_solves_each_stack_once(monkeypatch):
 
 def test_exact_tie_falls_back_to_tol(monkeypatch):
     # every node of a cycle scores the same, and the solve is exact: the
-    # gap is 0, so no first pass can certify; the kept stacks are solved
-    # again without being drawn again
-    cycle = Graph.from_pairs(12, [(i, (i + 1) % 12) for i in range(12)])
+    # gap is 0, so no certificate can stop the last stack; only the earlier
+    # stack is solved again, without being drawn again
+    cycle = _cycle()
     stacks = [(disjoint_union([cycle, cycle]), 2), (cycle, 1)]
     events = []
     _recording_solves(monkeypatch, events)
     params = KrylovParams()
-    got = communicability._certified_stacks(_drawn(stacks, events), params, k=3)
-    first, second = ("solve", communicability._FIRST_TOL), ("solve", params.tol)
-    assert events == [("draw", 0), first, ("draw", 1), first, second, second]
+    got = communicability._certified_stacks(_drawn(stacks, events), params, k=3, backgrounds=3)
+    first = ("solve", communicability._FIRST_TOL)
+    assert events == [("draw", 0), first, ("draw", 1), ("stop", params.tol), ("solve", params.tol)]
     assert got.fell_back and got.margin == 0.0
     assert got.scores.scores.tobytes() == communicability._summed_stacks(iter(stacks), params).scores.tobytes()
     assert top_k(got.scores, 3).tolist() == [0, 1, 2]
+
+
+def test_single_stack_tie_solves_once(monkeypatch):
+    # a one-stack run has no earlier stack to solve again: its only solve,
+    # at tol, gives the scores at tol
+    events = []
+    _recording_solves(monkeypatch, events)
+    params = KrylovParams()
+    got = communicability._certified_stacks(_drawn([(_cycle(), 1)], events), params, k=3, backgrounds=1)
+    assert events == [("draw", 0), ("stop", params.tol)]
+    assert got.fell_back and got.margin == 0.0
+    assert got.scores.scores.tobytes() == communicability._summed_stacks([(_cycle(), 1)], params).scores.tobytes()
+
+
+def test_uncertified_run_solves_only_its_first_stack_again(monkeypatch):
+    # two copies of one graph in each stack tie node i with node i + 200 bit
+    # for bit, so k = 1 is never certified, yet no solve is exact: the last
+    # stack runs on to tol, and only the first is solved again
+    g = generate(GraphGenSpec(model="er", n=200, avg_degree=4.0, seed=3))
+    twins = disjoint_union([g, g])
+    stacks = [(twins, 1), (twins, 1)]
+    events, results = [], []
+    _recording_solves(monkeypatch, events, results)
+    params = KrylovParams()
+    got = communicability._certified_stacks(_drawn(stacks, events), params, k=1, backgrounds=2)
+    first = ("solve", communicability._FIRST_TOL)
+    assert events == [("draw", 0), first, ("draw", 1), ("stop", params.tol), ("solve", params.tol)]
+    assert not results[1].certified and 0.0 < results[1].est_error <= params.tol
+    assert got.fell_back and got.margin == 0.0
+    assert got.scores.scores.tobytes() == communicability._summed_stacks(iter(stacks), params).scores.tobytes()
+
+
+def _projected_changes(monkeypatch) -> dict:
+    # the screen's ratio step / upper at each step whose projected vector,
+    # and its predecessor's, the solve computed
+    ys = {}
+    first_col = expm._expm_first_col
+
+    def recorded(alphas, betas):
+        ys[alphas.size] = first_col(alphas, betas)
+        return ys[alphas.size]
+
+    monkeypatch.setattr(expm, "_expm_first_col", recorded)
+
+    def ratios():
+        out = {}
+        for s in sorted(ys):
+            if s - 1 in ys:
+                y, dy = ys[s], ys[s][:-1] - ys[s - 1]
+                out[s] = math.sqrt(dy.dot(dy) + y[-1] ** 2) / math.sqrt(y.dot(y))
+        return out
+
+    return ratios
+
+
+class _Always:
+    screen = communicability._CERT_SCREEN
+
+    def __call__(self, x, x_prev):
+        return True
+
+
+@pytest.mark.parametrize("model", ["sw", "er", "ba"])
+def test_certified_stop_comes_no_earlier_than_the_cert_screen(model, monkeypatch):
+    spec = {
+        "sw": GraphGenSpec(model="sw", n=1024, k=40, beta=0.1, seed=5),
+        "er": GraphGenSpec(model="er", n=1024, avg_degree=39.0, seed=6),
+        "ba": GraphGenSpec(model="ba", n=1024, m=10, seed=7),
+    }[model]
+    g = generate(spec)
+    params = KrylovParams()
+    # a hook that certifies whatever it is offered stops the solve at the
+    # first step whose projected change is at most _CERT_SCREEN
+    ratios = _projected_changes(monkeypatch)
+    res = expm_action(g, np.ones(g.n), params, _certify=_Always())
+    first = min(s for s, r in ratios().items() if r <= communicability._CERT_SCREEN)
+    assert res.certified and res.iterations == first
+    # the run's own certificate stops there or later, and before tol
+    ratios = _projected_changes(monkeypatch)
+    results = []
+    _recording_solves(monkeypatch, [], results)
+    got = communicability._certified_stacks([(g, 1)], params, k=20, backgrounds=1)
+    first = min(s for s, r in ratios().items() if r <= communicability._CERT_SCREEN)
+    assert results[0].certified and not got.fell_back
+    assert first <= results[0].iterations < expm_action(g, np.ones(g.n), params).iterations
+
+
+def test_certified_stacks_need_the_stated_backgrounds():
+    with pytest.raises(ValueError, match="only 1 of 2 backgrounds"):
+        communicability._certified_stacks([(_cycle(), 1)], KrylovParams(), k=3, backgrounds=2)
 
 
 def test_unconverged_first_pass_falls_back_lazily(monkeypatch):
@@ -299,7 +399,7 @@ def test_unconverged_first_pass_falls_back_lazily(monkeypatch):
     _recording_solves(monkeypatch, events)
     params = KrylovParams(m=4)
     with pytest.raises(KrylovNotConvergedError) as caught:
-        communicability._certified_stacks(_drawn([(g, 1), (g, 1)], events), params, k=20)
+        communicability._certified_stacks(_drawn([(g, 1), (g, 1)], events), params, k=20, backgrounds=2)
     assert events == [("draw", 0), ("solve", communicability._FIRST_TOL), ("solve", params.tol)]
     assert caught.value.tol == params.tol and caught.value.iterations == 4
 
@@ -307,12 +407,11 @@ def test_unconverged_first_pass_falls_back_lazily(monkeypatch):
 @pytest.mark.parametrize("tol", [1e-4, 1e-3])
 def test_loose_user_tol_makes_one_pass(monkeypatch, tol):
     assert tol >= communicability._FIRST_TOL
-    cycle = Graph.from_pairs(12, [(i, (i + 1) % 12) for i in range(12)])
     g = generate(GraphGenSpec(model="ba", n=500, m=3, seed=2))
-    for graph in (cycle, g):  # a tie and a certified set alike
+    for graph in (_cycle(), g):  # a tie and a certified set alike
         events = []
         _recording_solves(monkeypatch, events)
-        got = communicability._certified_stacks(_drawn([(graph, 1)], events), KrylovParams(tol=tol), k=3)
+        got = communicability._certified_stacks(_drawn([(graph, 1)], events), KrylovParams(tol=tol), k=3, backgrounds=1)
         assert events == [("draw", 0), ("solve", tol)]
         assert not got.fell_back
 

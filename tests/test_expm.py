@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import warnings
 
@@ -440,6 +441,69 @@ def test_values_bit_identical_across_calls():
     again = expm_action(h, np.ones(h.n), blocks=blocks)
     assert np.array_equal(first.value, again.value)
     assert (first.est_error, first.iterations) == (again.est_error, again.iterations)
+
+
+# SHA-256 of the value bytes, the steps and est_error of each default
+# headline solve, taken before expm_action had its certificate hook
+_HEADLINE_BYTES = {
+    "er-stack-8": ("5c63500450ba384e410d7a15880facd406bcbc6dbb95603a33526bbd75ac21cc", 15, 5.211160648844624e-09),
+    "sw-stack-2": ("ee5a1e354aa6643ea8fdc0ca19947784087715c44d4dc6c91bb010b5be44d439", 26, 5.307823565926322e-09),
+    "er-avg-39": ("0ce7c1447c0d489324d2b3bed1eadbc7ed08f1a0a60447629189e42c5b8bd7a3", 12, 1.6275708089838075e-09),
+    "ba-m-10": ("bbe54cad346cc702003861cfacab6229b22e7c25dc847686e0307bf0fe1928ed", 13, 6.5668480703358264e-09),
+}
+# The rounding of the kernels a solve calls (numpy's exp, BLAS dot and gemv,
+# LAPACK dstevd) on fixed inputs, where the digests were taken: numpy 2.4 and
+# its bundled OpenBLAS with the Haswell kernels, on x86-64.  Other kernels
+# round differently, and the digests do not apply there.
+_KERNELS = "7cc58d1d943e2cdc49af6a15576a9ff608e24c9036fb46f16a6f24771406311d"
+
+
+def _kernels() -> str:
+    t = np.linspace(-40.0, 40.0, 97)
+    a = np.sin(np.arange(4096.0)) + 1.5
+    b = np.cos(np.arange(15 * 4096.0)).reshape(15, 4096)
+    w, q, _ = scipy.linalg.lapack.dstevd(t[:15] / 7.0, t[20:34] / 9.0 + 5.0)
+    parts = (np.exp(t), np.array([a @ a]), b.T @ t[:15], w, q)
+    return hashlib.sha256(b"".join(part.tobytes() for part in parts)).hexdigest()
+
+
+@pytest.mark.parametrize("host, name", zip([host for host, _ in _HEADLINE], _HEADLINE_IDS), ids=_HEADLINE_IDS)
+def test_solves_without_the_hook_keep_their_bytes(host, name):
+    if _kernels() != _KERNELS:
+        pytest.skip("this platform's exp, BLAS or LAPACK kernels round unlike those the digests were taken with")
+    g, blocks = host()
+    res = expm_action(g, np.ones(g.n), blocks=blocks)
+    got = (hashlib.sha256(res.value.tobytes()).hexdigest(), res.iterations, res.est_error)
+    assert got == _HEADLINE_BYTES[name]
+    assert res.converged and not res.certified
+
+
+class _Never:
+    """A certificate hook that is offered every iterate from the first step
+    whose projected change is at most 1e-2 on, and never stops the solve."""
+
+    screen = 1e-2
+
+    def __init__(self) -> None:
+        self.offered = 0
+
+    def __call__(self, x, x_prev) -> bool:
+        self.offered += 1
+        return False
+
+
+@pytest.mark.parametrize("host, steps", _HEADLINE, ids=_HEADLINE_IDS)
+def test_hook_that_never_stops_keeps_the_bytes(host, steps):
+    # the hook forms more iterates, but tol is tested only where the plain
+    # screen forms them: the solve ends as one without the hook
+    g, blocks = host()
+    plain = expm_action(g, np.ones(g.n), blocks=blocks)
+    hook = _Never()
+    hooked = expm_action(g, np.ones(g.n), blocks=blocks, _certify=hook)
+    assert hook.offered >= 2
+    assert hooked.value.tobytes() == plain.value.tobytes()
+    assert (hooked.est_error, hooked.iterations, hooked.converged) == (plain.est_error, plain.iterations, True)
+    assert not hooked.certified
 
 
 def _counted_growths(monkeypatch) -> list:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import io
 import math
 import pickle
@@ -525,12 +526,44 @@ def _sw_reference(n: int, k: int, beta: float, seed: int) -> Graph:
 
 
 # (1000, 10, 1.0) rewires all 5000 lattice edges, so its endpoints take more
-# than one _FEED_BLOCK of 4096 uniforms
-@pytest.mark.parametrize("n,k,beta", [(12, 8, 0.9), (40, 6, 0.5), (300, 10, 0.1), (1000, 10, 1.0)])
+# than one _FEED_BLOCK of 4096 uniforms; (1024, 40, 0.1) is the benchmark's SW
+@pytest.mark.parametrize("n,k,beta", [(12, 8, 0.9), (40, 6, 0.5), (300, 10, 0.1), (1000, 10, 1.0), (1024, 40, 0.1)])
 def test_sw_matches_adjacency_set_reference(n, k, beta):
     for seed in range(10):
         spec = GraphGenSpec(model="sw", n=n, k=k, beta=beta, seed=seed)
         assert gen_watts_strogatz(spec) == _sw_reference(n, k, beta, seed)
+
+
+# SHA-256 of the edge codes of the benchmark's SW and BA graphs, seeds 0-2,
+# pinned before the SW lattice was cached and merged instead of sorted
+_PINNED_CODES = {
+    ("sw", 0): "9d10b7af004176ce03a034151f7ec575bd6a2690af1e8ec116259e56b36d0742",
+    ("sw", 1): "0362e3f9da1c8bd76f52659673c5498ef7dd61ee04382fcd521c76420b85b7b6",
+    ("sw", 2): "e4b952f87fcf2a046913a366879673e1e07e0e4b1d644f2385bac6f4a156fc99",
+    ("ba", 0): "30930bdbeae4e8b051800f3a8a0a4e2013f301426544b65ab543d5f75bf51b34",
+    ("ba", 1): "d2adb948d48d3b17cbe06ba0abf380dac7b9783bdece0f90cdb776910fecd6c6",
+    ("ba", 2): "809cf9b62f506e6862c797fe4eaf9de28cb850e8697804e2b9f93a8147d8c9d9",
+}
+
+
+@pytest.mark.parametrize("model, seed", list(_PINNED_CODES))
+def test_sw_and_ba_generators_pinned(model, seed):
+    if model == "sw":
+        spec = GraphGenSpec(model="sw", n=1024, k=40, beta=0.1, seed=seed)
+    else:
+        spec = GraphGenSpec(model="ba", n=1024, m=10, seed=seed)
+    digest = hashlib.sha256(generate(spec).edge_codes().tobytes()).hexdigest()
+    assert digest == _PINNED_CODES[model, seed]
+
+
+def test_sw_lattice_is_cached_read_only():
+    # two graphs of one (n, k) share the lattice, which no caller can change
+    graphs_module._ring_lattice.cache_clear()
+    for seed in range(2):
+        gen_watts_strogatz(GraphGenSpec(model="sw", n=300, k=10, beta=0.1, seed=seed))
+    assert graphs_module._ring_lattice.cache_info().hits == 1
+    for arr in graphs_module._ring_lattice(300, 10):
+        assert not arr.flags.writeable
 
 
 @pytest.mark.parametrize("seed", range(5))
