@@ -256,8 +256,11 @@ def _report_dict(
         "runs": runs,
     }
     if method == "communicability":
-        # the most backgrounds one Krylov solve of a run scores
-        report["hosts_per_solve"] = hosts_per_stack(cfg.background.n)
+        # the most backgrounds one Krylov solve of a run scores, and the
+        # stacks of a run, one solve each (a first-pass fallback adds more)
+        per_solve = hosts_per_stack(cfg.background.n)
+        report["hosts_per_solve"] = per_solve
+        report["solves_per_run"] = math.ceil(cfg.num_backgrounds / per_solve)
         for run, res in zip(runs, results):
             run["margin"] = _json_margin(res.margin)
         report["min_margin"] = _json_margin(min(res.margin for res in results))

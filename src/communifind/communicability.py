@@ -17,9 +17,11 @@ The pipeline builds its hosts as such stacks and scores them through
 graphs given one by one, and :func:`total_communicability` is its one-graph
 case.
 
-The pipeline needs only the top-k set of the summed scores.  It solves a
-run's stacks but the last at the loose tolerance ``_FIRST_TOL``, and the
-last toward ``params.tol`` with a certificate hook in
+The pipeline needs only the top-k set of the summed scores.  A run's
+backgrounds that fit one stack (up to forty at n=1024) get one solve; with
+more, it solves a run's stacks but the last at the loose tolerance
+``_FIRST_TOL``.  It solves the last toward ``params.tol`` with a
+certificate hook in
 :func:`~communifind.expm.expm_action`: from the first step whose projected
 relative change is at most ``_CERT_SCREEN``, every iterate is tested, and
 the first one whose sum certifies the top-k set stops the solve.  The set
@@ -60,25 +62,29 @@ ScoreKind = Literal["sc", "tc", "tc_sum"]
 
 _SC_MAX_NODES = 512
 # Graphs are scored in stacks of up to this many nodes, one Krylov solve per
-# stack: twenty graphs at n=1024.  A stack pays fixed costs (its generation
+# stack: forty graphs at n=1024.  A stack pays fixed costs (its generation
 # and embedding calls, the operator build) and each step one sparse product
 # plus a fixed overhead (the tridiagonal eigensolver and the Python of the
 # loop); stacking shares the fixed parts, and the cap bounds the memory of a
-# solve.  On 40 sparse backgrounds (er avg 2, 2-vCPU VM) a run took ~19%
-# less time in stacks of 20 than of 8, at ~5% more peak RSS; one stack of
-# 40 took ~21% less time than 8, but 13-15% more peak RSS.  Stacking dense
-# graphs can raise the steps of a solve instead (er avg 39: 12 steps alone,
-# 25 in a stack of 8).  Larger graphs are scored one at a time.  Read
-# through hosts_per_stack.  The pipeline solves every stack of a run but the
-# last one once at _FIRST_TOL, and again at its tol only when the last
-# stack does not certify the run's top-k set, so it keeps those stacks.
-_STACK_NODES = 20480
-# Tolerance of the solves of a run's stacks before its last.  On 200 runs of
-# each bench row (n = 1024, k = 20) at three base seeds, sums of such solves
-# (then all of a run's stacks) certified all but 0-6 er(avg 2) runs, and
-# the solves took 30% fewer steps than at 1e-8 (15.3 -> 10.7).  Solved
-# with the certificate stop, the last er(avg 2) stack takes ~7 steps, and
-# all but 0-1 runs certify.
+# solve.  A run of 40 sparse backgrounds (er avg 2) at n=1024 is one stack,
+# solved once, under the certificate stop, in 7.1-7.3 steps: on a 2-vCPU VM
+# it took ~15% less time per run than two stacks of 20 (whose first was
+# solved at _FIRST_TOL in ~10.7 steps), at ~7.5% more peak RSS (the stack's
+# vectors and operator; its first basis block is 25 rows, 8 MiB).  Under the
+# stop, stacking dense graphs costs no time either: at N=40, stacks of 40
+# scored er avg 39 runs ~10% and sw k=40 runs ~30% faster than stacks of
+# 20, and ba m=10 runs as fast.  Larger graphs are scored one at a time.
+# Read through hosts_per_stack.  The pipeline solves every stack of a run
+# but the last one once at _FIRST_TOL, and again at its tol only when the
+# last stack does not certify the run's top-k set, so it keeps those stacks.
+_STACK_NODES = 40960
+# Tolerance of the solves of a run's stacks before its last, which only runs
+# of more backgrounds than one stack holds make (none of the bench rows).
+# On 200 runs of each bench row (n = 1024, k = 20) at three base seeds, in
+# stacks of 20, sums of such solves (then all of a run's stacks) certified
+# all but 0-6 er(avg 2) runs, and the solves took 30% fewer steps than at
+# 1e-8 (15.3 -> 10.7).  Solved with the certificate stop, a run's one stack
+# of 40 er(avg 2) hosts takes 7.1-7.3 steps, and every run certifies.
 _FIRST_TOL = 1e-4
 # Projected relative change of a step (the screen of expm_action) from which
 # the solve of a run's last stack offers every iterate to its certificate.

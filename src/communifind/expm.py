@@ -11,8 +11,10 @@ A step's sparse product runs over A in the coordinate form that
 :func:`communifind.graphs.adjacency` builds once per solve from the graph's
 ascending edge codes, with no sort.  Its entry order makes the products
 those of the graph's sorted node-order rows bit for bit (the builder's
-docstring says why).  On an 8 x 1024-node ER(avg 2) stack the build takes
-~0.1 ms and a product ~0.036 ms (2-vCPU VM, 1 BLAS thread).
+docstring says why).  On a 40 x 1024-node ER(avg 2) stack, one run's
+backgrounds, the build takes ~0.3-1.2 ms, depending on the process's
+earlier allocations, and a product ~0.10-0.17 ms (2-vCPU VM, 1 BLAS
+thread).
 
 Every basis vector has unit norm.  Were the basis orthonormal, the change
 between successive iterates would be ``beta0 * ||y_s - [y_{s-1}; 0]||`` for
@@ -36,11 +38,12 @@ computes neither y nor the screen.  It takes the screen's skipping branch,
 so the results are bit for bit those of screening every step.  The y of
 the step before the first one not skipped is formed lazily, like the
 previous iterate.  The bound is no longer evaluated once it fails, so a
-dense solve, where it fails at the first step, pays one check.  On an
-8 x 1024-node ER(avg 2) stack it skips 12 of 15 steps, leaving 4 projected
-solves instead of 15, and the solve takes 8-12% less time (in-process
-medians of 40-60 interleaved rounds, 2-vCPU VM); on the dense headline
-solves it skips none, and their times stay within the ~2-5% noise.
+dense solve, where it fails at the first step, pays one check.  On a
+40 x 1024-node ER(avg 2) stack's solve to 1e-8 it leaves 4 projected solves
+instead of 15, and the solve takes 4-9% less time (in-process medians of
+60 interleaved rounds, three invocations, 2-vCPU VM); on the dense
+headline solves it skips none, and their times stay within the ~2-5%
+noise.
 
 A private hook (``_certify``, used by
 :func:`communifind.communicability._certified_stacks`) can stop a solve
@@ -77,13 +80,18 @@ _ORACLE_MAX_NODES = 512
 # rounding of forming the iterates, which matters only for tol near eps.
 _SCREEN_SLACK = 1e-12
 # The first basis block holds as many rows as fit below 4 MiB, the size from
-# which numpy advises huge pages, so a short solve on a 20480-node stack (25
-# rows) touches only its own rows; with 32 rows (5 MiB), peak RSS over
-# 40-background runs of such stacks read 0.1-2.4 MB higher.  Larger graphs
-# are over 4 MiB at the floor's rows anyway.  The floor is a full stack's
-# depth, and it holds the slowest large single graphs measured (25 steps: BA
-# m=2 at 1e5 nodes, SW k=40 at 5e4), so they grow no more often than with the
-# former 32 rows.  A solve that outgrows the block doubles it.
+# which numpy advises huge pages, so a short solve on a graph below 4 MiB at
+# the floor's rows touches only its own rows; with 32 rows (5 MiB) on a
+# 20480-node stack, peak RSS over 40-background runs read 0.1-2.4 MB higher.
+# A full stack (40960 nodes) is over 4 MiB at the floor's rows: its block
+# is 25 rows (8 MiB), and its certified solve (~7 steps), like its solve to
+# 1e-8 (15 steps), stays inside it.  A 12-row floor, below 4 MiB there, lost
+# on er-sparse-n40 (seed 37, 2-vCPU VM): 78.5 against 75.0 MB peak RSS and a
+# parallel speed-up of 1.13-1.27 against 1.53-1.54; there a solve past 12
+# steps copies its block into a larger one.  The floor also holds the
+# slowest large single graphs measured (25 steps: BA m=2 at 1e5 nodes, SW
+# k=40 at 5e4), so they grow no more often than with the former 32 rows.  A
+# solve that outgrows the block doubles it.
 _BASIS_BYTES = 1 << 22
 _BASIS_MIN_ROWS = 25
 

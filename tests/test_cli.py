@@ -294,6 +294,7 @@ def test_experiment_end_to_end(tmp_path, capsys):
         assert run["rate"] == run["hits"] / 20
     assert set(report["phase_seconds"]) == {"generation", "scoring", "selection"}
     assert report["hosts_per_solve"] == communicability.hosts_per_stack(256)
+    assert report["solves_per_run"] == 1  # 4 backgrounds, one stack
     margins = [run["margin"] for run in report["runs"]]
     assert all(m is None or m >= 0.0 for m in margins)
     assert report["min_margin"] == min(m if m is not None else math.inf for m in margins)
@@ -410,7 +411,7 @@ def test_baseline_end_to_end(tmp_path, capsys):
     assert set(report["phase_seconds"]) == {"generation", "scoring", "selection"}
     assert report["phase_seconds"]["scoring"] > 0
     # the baseline has no certificate
-    assert "hosts_per_solve" not in report and "min_margin" not in report
+    assert "hosts_per_solve" not in report and "solves_per_run" not in report and "min_margin" not in report
     assert all("margin" not in run for run in report["runs"])
     with (out_dir / "summary.csv").open() as fh:
         rows = list(csv.DictReader(fh))

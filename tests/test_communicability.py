@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from communifind import (
+    ExperimentConfig,
     Graph,
     GraphGenSpec,
     KrylovNotConvergedError,
@@ -16,11 +17,13 @@ from communifind import (
     NumericalBreakdownError,
     ScoreVector,
     accumulate,
+    canonical_sparse_target,
     clique,
     disjoint_union,
     expm_action,
     expm_dense_oracle,
     generate,
+    run_pipeline,
     subgraph_centrality,
     summed_total_communicability,
     top_k,
@@ -206,8 +209,8 @@ def test_total_communicability_of_a_zero_node_graph_names_the_graph():
 
 
 def test_hosts_per_stack_reads_the_cap_at_call_time(monkeypatch):
-    assert communicability.hosts_per_stack(1024) == 20
-    assert communicability.hosts_per_stack(2048) == 10
+    assert communicability.hosts_per_stack(1024) == 40
+    assert communicability.hosts_per_stack(2048) == 20
     assert communicability.hosts_per_stack(10**5) == 1
     monkeypatch.setattr(communicability, "_STACK_NODES", 250)
     assert communicability.hosts_per_stack(100) == 2
@@ -281,6 +284,34 @@ def test_certified_run_solves_each_stack_once(monkeypatch):
     assert got.scores.num_backgrounds == 5
     exact = communicability._summed_stacks(iter(stacks), params)
     assert np.array_equal(top_k(got.scores, 20), top_k(exact, 20))
+
+
+_TOL = KrylovParams().tol
+
+
+@pytest.mark.parametrize(
+    ("backgrounds", "solves", "blocks"),
+    [(40, [("stop", _TOL)], [40]), (41, [("solve", communicability._FIRST_TOL), ("stop", _TOL)], [40, 1])],
+    ids=["N40", "N41"],
+)
+def test_pipeline_run_solves_a_full_stack_once(monkeypatch, backgrounds, solves, blocks):
+    # at n = 1024 a run's 40 sparse backgrounds are one stack, solved once
+    # under the certificate with no solve at _FIRST_TOL; a 41st background
+    # makes a second stack, and the full one goes to _FIRST_TOL first
+    events, results = [], []
+    _recording_solves(monkeypatch, events, results)
+    cfg = ExperimentConfig(
+        background=GraphGenSpec(model="er", n=1024, avg_degree=2.0),
+        target=canonical_sparse_target(0),
+        num_backgrounds=backgrounds,
+        runs=1,
+        k=20,
+    )
+    assert len(run_pipeline(cfg)) == 1
+    assert events == solves
+    # a stack of b hosts is solved on b * 1024 nodes
+    assert [res.value.size // 1024 for res in results] == blocks
+    assert results[-1].certified
 
 
 def test_exact_tie_falls_back_to_tol(monkeypatch):

@@ -527,14 +527,18 @@ def test_basis_growth_keeps_the_solve(monkeypatch):
     assert (small.est_error, small.iterations) == (default.est_error, default.iterations)
 
 
-def test_full_stack_block_is_below_huge_pages(monkeypatch):
-    # numpy advises huge pages from 4 MiB on; a full stack's solve of sparse
-    # backgrounds fits in its first block, so it touches only the rows it takes
+def test_full_stack_certified_solve_stays_in_its_first_block(monkeypatch):
+    # a memory-design check, not a correctness one: a full stack's first
+    # block holds the floor's rows (8 MiB at n = 40960, above numpy's 4 MiB
+    # huge-page threshold), and the certified solve of a full stack of
+    # sparse backgrounds, like its plain solve to tol, grows no block
     per_stack = communicability.hosts_per_stack(1024)
     n = per_stack * 1024
-    assert expm._basis_rows(n) * 8 * n < 4 << 20
+    assert expm._basis_rows(n) == expm._BASIS_MIN_ROWS
     grown = _counted_growths(monkeypatch)
     g = generate(GraphGenSpec(model="er", n=1024, avg_degree=2.0), seeds=range(40, 40 + per_stack))
+    got = communicability._certified_stacks([(g, per_stack)], KrylovParams(), k=20, backgrounds=per_stack)
+    assert not got.fell_back and got.scores.num_backgrounds == per_stack
     res = expm_action(g, np.ones(n), blocks=per_stack)
     assert res.converged and grown == []
 

@@ -187,9 +187,10 @@ def test_pipeline_builds_no_node_order_rows(monkeypatch):
 
 
 def test_pipeline_generates_er_stacks_in_one_pass(monkeypatch):
-    # two stacks of twenty 1024-node hosts per run: each stack is one
-    # generate and one apply_embedding call, with no per-seed ER graph and
-    # no union of graphs built anywhere on the run path
+    # forty 1024-node hosts fill one stack and forty-one take two: each
+    # stack is one generate and one apply_embedding call; a stack of two or
+    # more hosts builds no per-seed ER graph and no union of graphs, and a
+    # one-host stack is its one ER graph (the union of one graph is itself)
     calls = []
 
     def counted(module, name):
@@ -204,15 +205,21 @@ def test_pipeline_generates_er_stacks_in_one_pass(monkeypatch):
         (identify, "apply_embedding"),
     ):
         counted(module, name)
-    cfg = ExperimentConfig(
-        background=GraphGenSpec(model="er", n=1024, avg_degree=2.0),
-        target=canonical_sparse_target(0),
-        num_backgrounds=40,
-        runs=1,
-        k=20,
-    )
-    assert len(run_pipeline(cfg)) == 1
-    assert sorted(calls) == ["apply_embedding"] * 2 + ["generate"] * 2
+    one_host = ["disjoint_union", "gen_erdos_renyi"]
+    for backgrounds, expected in (
+        (40, ["apply_embedding", "generate"]),
+        (41, ["apply_embedding"] * 2 + one_host + ["generate"] * 2),
+    ):
+        calls.clear()
+        cfg = ExperimentConfig(
+            background=GraphGenSpec(model="er", n=1024, avg_degree=2.0),
+            target=canonical_sparse_target(0),
+            num_backgrounds=backgrounds,
+            runs=1,
+            k=20,
+        )
+        assert len(run_pipeline(cfg)) == 1
+        assert sorted(calls) == expected
 
 
 def test_baseline_receives_per_host_graphs(monkeypatch):
