@@ -217,22 +217,7 @@ def _summed_stacks(stacks: Iterable[tuple[Graph, int]], params: KrylovParams) ->
     one after another; it gets one Krylov solve, and its blocks are summed in
     order.
     """
-    scores = None
-    count = 0
-    for union, blocks in stacks:
-        n = union.n // blocks
-        if scores is None:
-            scores = np.zeros(n)
-        elif n != scores.size:
-            raise ValueError("all graphs must have the same node count")
-        result = expm_action(union, np.ones(union.n), params, blocks=blocks)
-        if not result.converged:
-            raise KrylovNotConvergedError(result.est_error, params.tol, result.iterations)
-        scores += result.value.reshape(blocks, n).sum(axis=0)
-        count += blocks
-    if scores is None:
-        raise ValueError("summed_total_communicability needs at least one graph")
-    return ScoreVector(scores=scores, kind="tc_sum", num_backgrounds=count)
+    return _summed_parts(_solved_stacks(stacks, params))[0]
 
 
 def _margin(scores: np.ndarray, err: float, k: int) -> float:
@@ -314,18 +299,28 @@ def _solved_stacks(
         yield (*_solved(union, blocks, params), blocks)
 
 
-def _summed_parts(parts: Iterable[tuple[np.ndarray, float, int]], k: int, fell_back: bool) -> _Certified:
-    """The sum of solved stacks, in order, with the margin of its top-k set."""
+def _summed_parts(parts: Iterable[tuple[np.ndarray, float, int]]) -> tuple[ScoreVector, float]:
+    """The sum of solved stacks, in order, and the sum of their recorded changes."""
     scores = None
     err = 0.0
     count = 0
     for part, change, blocks in parts:
         if scores is None:
             scores = np.zeros(part.size)
+        elif part.size != scores.size:
+            raise ValueError("all graphs must have the same node count")
         scores += part
         err += change
         count += blocks
-    return _Certified(ScoreVector(scores, "tc_sum", count), _margin(scores, err, k), fell_back)
+    if scores is None:
+        raise ValueError("summed_total_communicability needs at least one graph")
+    return ScoreVector(scores, "tc_sum", count), err
+
+
+def _certified_parts(parts: Iterable[tuple[np.ndarray, float, int]], k: int, fell_back: bool) -> _Certified:
+    """The sum of solved stacks, in order, with the margin of its top-k set."""
+    scores, err = _summed_parts(parts)
+    return _Certified(scores, _margin(scores.scores, err, k), fell_back)
 
 
 def _certified_stacks(
@@ -349,7 +344,7 @@ def _certified_stacks(
     """
     stacks = iter(stacks)
     if params.tol >= _FIRST_TOL:
-        return _summed_parts(_solved_stacks(stacks, params), k, fell_back=False)
+        return _certified_parts(_solved_stacks(stacks, params), k, fell_back=False)
     first = replace(params, tol=_FIRST_TOL)
     kept: list[tuple[Graph, int]] = []
     scores = None
@@ -365,7 +360,7 @@ def _certified_stacks(
         try:
             part, change = _solved(union, blocks, first)
         except KrylovNotConvergedError:
-            return _summed_parts(_solved_stacks(itertools.chain(kept, stacks), params), k, fell_back=True)
+            return _certified_parts(_solved_stacks(itertools.chain(kept, stacks), params), k, fell_back=True)
         scores += part
         err += change
     else:
@@ -376,7 +371,7 @@ def _certified_stacks(
     if margin > 1.0:
         return _Certified(ScoreVector(scores, "tc_sum", count), margin, fell_back=False)
     resolved = itertools.chain(_solved_stacks(kept, params), [(last, change, blocks)])
-    return _summed_parts(resolved, k, fell_back=True)
+    return _certified_parts(resolved, k, fell_back=True)
 
 
 def accumulate(vectors: Sequence[ScoreVector]) -> ScoreVector:

@@ -26,24 +26,9 @@ iterate.  The iterate (and, lazily, the previous one) is formed with the
 same expressions whenever the ratio falls below, at the last step of the
 budget, or on an invariant subspace.  Only a formed iterate is tested, so
 the screen can delay a stop but never cause one; the tests check that it
-delays none on the headline solves.
-
-The screen itself needs y_s, an eigendecomposition of the s x s projected
-tridiagonal matrix (``dstevd``: ~10-30 us at 5-15 steps), so a bound kept in
-a few floats a step (:class:`_SkipBound`) skips it where it provably cannot
-form the iterate: while a lower bound on ``|y_s[-1]| / ||y_s||``, at most
-the screen's ratio, exceeds twice the screen, and ``beta0`` times an upper
-bound on ``||y_s||`` stays a factor e below the screen's 1e300 cap, a step
-computes neither y nor the screen.  It takes the screen's skipping branch,
-so the results are bit for bit those of screening every step.  The y of
-the step before the first one not skipped is formed lazily, like the
-previous iterate.  The bound is no longer evaluated once it fails, so a
-dense solve, where it fails at the first step, pays one check.  On a
-40 x 1024-node ER(avg 2) stack's solve to 1e-8 it leaves 4 projected solves
-instead of 15, and the solve takes 4-9% less time (in-process medians of
-60 interleaved rounds, three invocations, 2-vCPU VM); on the dense
-headline solves it skips none, and their times stay within the ~2-5%
-noise.
+delays none on the headline solves.  Every step pays for its screen with
+y_s, an eigendecomposition of the s x s projected tridiagonal matrix
+(``dstevd``: ~10-30 us at 5-15 steps).
 
 A private hook (``_certify``, used by
 :func:`communifind.communicability._certified_stacks`) can stop a solve
@@ -127,7 +112,8 @@ class KrylovParams:
     """Knobs of the Lanczos approximation.
 
     m: most Lanczos steps per solve, and so most basis vectors held.
-    tol: relative change between successive iterates accepted as converged.
+    tol: relative change between successive iterates accepted as converged;
+    finite, since the change before the first pair of iterates counts as inf.
     """
 
     m: int = 150
@@ -136,8 +122,8 @@ class KrylovParams:
     def __post_init__(self) -> None:
         if self.m < 2:
             raise ValueError(f"need m >= 2, got m={self.m}")
-        if not self.tol > 0.0:
-            raise ValueError(f"need tol > 0, got tol={self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"need a finite tol > 0, got tol={self.tol}")
 
 
 @dataclass(frozen=True)
@@ -184,44 +170,6 @@ def _expm_first_col(alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
     return q @ (np.exp(w) * q[0, :])
 
 
-class _SkipBound:
-    """Proves, in O(1) floats a step, that the screen of :func:`expm_action` skips a step.
-
-    For y = exp(T_s) e_1 of the projected matrix T_s: with c = max(0, -min
-    alpha), T_s + cI is entrywise nonnegative, so the (s, 1) entry of its
-    exponential is at least that of its (s - 1)-st power over (s - 1)!, and
-    |y_s| >= e^-c * prod(beta) / (s - 1)!; and ||y|| <= e^G for the largest
-    Gershgorin row sum G of T_s.  The screen's ``step / upper`` is at least
-    |y_s| / ||y||, so the screen skips the step when this lower bound exceeds
-    ``screen`` and ``upper = beta0 * ||y||`` stays below 1e300.  The bound
-    claims so only with a factor 2 to spare on the first and e on the second,
-    which cover the rounding of both sides.  Logarithms keep it finite.
-    """
-
-    __slots__ = ("_log_skip", "_log_cap", "_log_terms", "_shift", "_closed", "_open")
-
-    def __init__(self, screen: float, beta0: float) -> None:
-        self._log_skip = math.log(2.0 * screen)
-        self._log_cap = math.log(1e300) - 1.0 - math.log(beta0)
-        self._log_terms = 0.0  # log of prod(beta_i / i) over i < s
-        self._shift = 0.0  # c
-        self._closed = -math.inf  # largest sum of a row of T_s with both betas known
-        self._open = 0.0  # the known part of row s: beta_{s-1}, then + alpha_s
-
-    def skips(self, alpha: float) -> bool:
-        """Take alpha_s; whether the screen provably skips step s."""
-        self._shift = max(self._shift, -alpha)
-        self._open += alpha
-        gersh = max(self._closed, self._open)
-        return self._log_terms - self._shift - gersh > self._log_skip and gersh < self._log_cap
-
-    def close(self, beta: float, s: int) -> None:
-        """Take beta_s, the entry of T_{s+1} below alpha_s."""
-        self._closed = max(self._closed, self._open + beta)
-        self._open = beta
-        self._log_terms += math.log(beta) - math.log(s)
-
-
 def _basis_rows(n: int) -> int:
     """Rows of the first basis block of an ``n``-node solve, before the cap at ``m``."""
     return max(_BASIS_MIN_ROWS, (_BASIS_BYTES - 1) // (8 * n))
@@ -258,10 +206,6 @@ def expm_action(
     A in coordinate form from the edge codes (see the module docstring); a
     step then costs one sparse product with it, a few length-n vector
     operations and the eigendecomposition of the small tridiagonal matrix.
-    The step skips that eigendecomposition, and the screen that needs it,
-    while a bound proves the screen would not form the iterate; the step
-    before the first one not skipped then gets its projected vector lazily
-    (the module docstring gives the bound, its margins and its effect).
     Each new Lanczos vector is written straight into its basis row.
 
     Parameters
@@ -285,8 +229,7 @@ def expm_action(
         before, ahead of the ``tol`` test; a True return ends the solve with
         ``certified`` set.  ``tol`` is still tested only at the steps that
         the screen of a solve without the hook forms, so a solve that the
-        hook does not stop returns that solve's bytes.  The skip bound then
-        proves its skips against the looser of the two screens.
+        hook does not stop returns that solve's bytes.
 
     Returns
     -------
@@ -329,14 +272,11 @@ def expm_action(
     betas = np.empty(m)  # its off-diagonal
     scratch = np.empty(n)
     screen = 2.0 * params.tol + _SCREEN_SLACK
-    bound = _SkipBound(screen if _certify is None else max(screen, _certify.screen), beta0)
-    provable = True  # the bound skipped every step so far
     certifying = False  # a step's projected change reached the hook's screen
     diff = np.inf
     # iterate of the previous step, or None when that step skipped it
     x_prev = None
-    # projected vector of the previous step, or None when the bound skipped it
-    y_prev = np.empty(0)
+    y_prev = np.empty(0)  # projected vector of the previous step
 
     for s in range(1, m + 1):  # s: steps taken, this one included
         v_cur = basis[s - 1]
@@ -353,56 +293,45 @@ def expm_action(
         if not np.isfinite(beta):
             raise NumericalBreakdownError("non-finite Lanczos coefficient")
         exact = beta <= 1e-12 * max(1.0, abs(alpha))
-        # once the bound fails it is not evaluated again
-        provable = provable and s < m and not exact and bound.skips(alpha)
-        if provable:
-            # the screens below would skip this step, as they skipped the
-            # ones before, so x_prev is None already: no y is needed
-            y_prev = None
+        y = _expm_first_col(alphas[:s], betas[: s - 1])
+        # screen: step / upper estimates the relative change of the whole
+        # iterate, at most the largest relative change of a block.  Basis
+        # vectors have unit norm, so |x_i| <= beta0 * ||y||_1 <= sqrt(s) * upper
+        # whether or not they are orthogonal, and below 1e300 a skipped x is
+        # finite (sqrt(m) * 1e300 < 1.8e308 for any m below 1e16).
+        # Comparisons with inf or nan are False, so a non-finite y forms x
+        # and raises.  A y whose squares overflow makes upper inf on
+        # purpose, which forms the iterate: no warning is due
+        dy = y[:-1] - y_prev
+        with np.errstate(over="ignore"):
+            step = beta0 * math.sqrt(dy.dot(dy) + y[-1] ** 2)
+            upper = beta0 * math.sqrt(y.dot(y))
+        # plain: the screen of a solve without the hook forms this iterate
+        plain = not (s < m and not exact and upper < 1e300 and step > screen * upper)
+        certifying = certifying or (_certify is not None and step <= _certify.screen * upper)
+        if not (plain or certifying):
+            x_prev = None
         else:
-            if y_prev is None:
-                y_prev = _expm_first_col(alphas[: s - 1], betas[: s - 2])
-            y = _expm_first_col(alphas[:s], betas[: s - 1])
-            # screen: step / upper estimates the relative change of the whole
-            # iterate, at most the largest relative change of a block.  Basis
-            # vectors have unit norm, so |x_i| <= beta0 * ||y||_1 <= sqrt(s) * upper
-            # whether or not they are orthogonal, and below 1e300 a skipped x is
-            # finite (sqrt(m) * 1e300 < 1.8e308 for any m below 1e16).
-            # Comparisons with inf or nan are False, so a non-finite y forms x
-            # and raises.  A y whose squares overflow makes upper inf on
-            # purpose, which forms the iterate: no warning is due
-            dy = y[:-1] - y_prev
-            with np.errstate(over="ignore"):
-                step = beta0 * math.sqrt(dy.dot(dy) + y[-1] ** 2)
-                upper = beta0 * math.sqrt(y.dot(y))
-            # plain: the screen of a solve without the hook forms this iterate
-            plain = not (s < m and not exact and upper < 1e300 and step > screen * upper)
-            certifying = certifying or (_certify is not None and step <= _certify.screen * upper)
-            if not (plain or certifying):
-                x_prev = None
-            else:
-                if x_prev is None and s > 1:
-                    x_prev = beta0 * (basis[: s - 1].T @ y_prev)
-                x = beta0 * (basis[:s].T @ y)
-                if not np.all(np.isfinite(x)):
-                    raise NumericalBreakdownError("non-finite iterate (exp overflow?)")
-                if exact:
-                    # invariant subspace reached: the approximation is exact
-                    return ExpmResult(value=x, est_error=0.0, iterations=s, converged=True)
-                stop = _certify is not None and x_prev is not None and _certify(x, x_prev)
-                # tol is tested only where a solve without the hook tests it,
-                # so a solve that the hook does not stop ends as that one
-                if x_prev is not None and (plain or stop):
-                    diff = _relative_change(x, x_prev, blocks)
-                x_prev = x
-                if stop:
-                    return ExpmResult(value=x, est_error=diff, iterations=s, converged=True, certified=True)
-                if plain and diff <= params.tol:
-                    return ExpmResult(value=x, est_error=diff, iterations=s, converged=True)
-            y_prev = y
+            if x_prev is None and s > 1:
+                x_prev = beta0 * (basis[: s - 1].T @ y_prev)
+            x = beta0 * (basis[:s].T @ y)
+            if not np.all(np.isfinite(x)):
+                raise NumericalBreakdownError("non-finite iterate (exp overflow?)")
+            if exact:
+                # invariant subspace reached: the approximation is exact
+                return ExpmResult(value=x, est_error=0.0, iterations=s, converged=True)
+            stop = _certify is not None and x_prev is not None and _certify(x, x_prev)
+            # tol is tested only where a solve without the hook tests it,
+            # so a solve that the hook does not stop ends as that one
+            if x_prev is not None and (plain or stop):
+                diff = _relative_change(x, x_prev, blocks)
+            x_prev = x
+            if stop:
+                return ExpmResult(value=x, est_error=diff, iterations=s, converged=True, certified=True)
+            if plain and diff <= params.tol:
+                return ExpmResult(value=x, est_error=diff, iterations=s, converged=True)
+        y_prev = y
         if s < m:
-            if provable:
-                bound.close(beta, s)
             if s == len(basis):
                 basis = np.vstack((basis, np.empty((min(s, m - s), n))))
             betas[s - 1] = beta

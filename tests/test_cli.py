@@ -391,6 +391,16 @@ def test_experiment_unknown_and_missing_keys(tmp_path, capsys):
     assert "missing required key 'runs'" in err
 
 
+def test_experiment_rejects_infinite_tol(tmp_path, capsys):
+    # at tol = inf the first formed iterate would pass as converged
+    cfg = _write_config(tmp_path, EXPERIMENT_CONFIG + "krylov_tol = inf\n")
+    out_dir = tmp_path / "out"
+    rc = main(["experiment", str(cfg), "--out-dir", str(out_dir)])
+    assert rc == 2
+    assert "tol" in capsys.readouterr().err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 def test_experiment_rejects_baseline_only_keys(tmp_path, capsys):
     cfg = _write_config(tmp_path, EXPERIMENT_CONFIG + "r_dims = 5\n")
     rc = main(["experiment", str(cfg), "--out-dir", str(tmp_path)])

@@ -186,7 +186,7 @@ def test_generator_input_is_scored_stack_by_stack(monkeypatch):
             events.append(f"draw {i}")
             yield g
 
-    def recorded(g, v, params, *, blocks):
+    def recorded(g, v, params, *, blocks, _certify=None):
         events.append(f"solve {blocks}")
         solves.append(expm_action(g, v, params, blocks=blocks))
         return solves[-1]
