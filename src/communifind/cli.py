@@ -257,7 +257,7 @@ def _report_dict(
     }
     if method == "communicability":
         # the most backgrounds one Krylov solve of a run scores, and the
-        # stacks of a run, one solve each (a first-pass fallback adds more)
+        # stacks of a run, one solve each
         per_solve = hosts_per_stack(cfg.background.n)
         report["hosts_per_solve"] = per_solve
         report["solves_per_run"] = math.ceil(cfg.num_backgrounds / per_solve)
@@ -265,7 +265,6 @@ def _report_dict(
             run["margin"] = _json_margin(res.margin)
         report["min_margin"] = _json_margin(min(res.margin for res in results))
         report["unsettled_runs"] = _unsettled(results)
-        report["first_pass_fallbacks"] = sum(res.fell_back for res in results)
     return report
 
 

@@ -17,11 +17,10 @@ The pipeline builds its hosts as such stacks and scores them through
 graphs given one by one, and :func:`total_communicability` is its one-graph
 case.
 
-The pipeline needs only the top-k set of the summed scores.  A run's
-backgrounds that fit one stack (up to forty at n=1024) get one solve; with
-more, it solves a run's stacks but the last at the loose tolerance
-``_FIRST_TOL``.  It solves the last toward ``params.tol`` with a
-certificate hook in
+The pipeline needs only the top-k set of the summed scores.  It solves each
+of a run's stacks once, as it is drawn, at ``params.tol``; the last one
+(the only one when a run's backgrounds fit one stack, up to forty at
+n=1024) with a certificate hook in
 :func:`~communifind.expm.expm_action`: from the first step whose projected
 relative change is at most ``_CERT_SCREEN``, every iterate is tested, and
 the first one whose sum certifies the top-k set stops the solve.  The set
@@ -31,15 +30,15 @@ entrywise change of each stack's summed blocks between its last two
 iterates (Saad's iterate-change estimate, SIAM J. Numer. Anal. 1992).  That
 estimate is not a bound, so a certified set is the one the scores at
 ``params.tol`` give only as far as it holds.  A last stack that never
-certifies ends at ``params.tol`` as a solve without the hook does, and only
-the earlier stacks are solved again, at ``params.tol``.
+certifies ends at ``params.tol`` as a solve without the hook does, so the
+run's scores are those at ``params.tol``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal, Sequence, TextIO
 
 import numpy as np
@@ -68,24 +67,15 @@ _SC_MAX_NODES = 512
 # loop); stacking shares the fixed parts, and the cap bounds the memory of a
 # solve.  A run of 40 sparse backgrounds (er avg 2) at n=1024 is one stack,
 # solved once, under the certificate stop, in 7.1-7.3 steps: on a 2-vCPU VM
-# it took ~15% less time per run than two stacks of 20 (whose first was
-# solved at _FIRST_TOL in ~10.7 steps), at ~7.5% more peak RSS (the stack's
+# it took ~15% less time per run than two stacks of 20 (whose first was then
+# solved at 1e-4 in ~10.7 steps), at ~7.5% more peak RSS (the stack's
 # vectors and operator; its first basis block is 25 rows, 8 MiB).  Under the
 # stop, stacking dense graphs costs no time either: at N=40, stacks of 40
 # scored er avg 39 runs ~10% and sw k=40 runs ~30% faster than stacks of
 # 20, and ba m=10 runs as fast.  Larger graphs are scored one at a time.
-# Read through hosts_per_stack.  The pipeline solves every stack of a run
-# but the last one once at _FIRST_TOL, and again at its tol only when the
-# last stack does not certify the run's top-k set, so it keeps those stacks.
+# Read through hosts_per_stack.  The pipeline solves each stack of a run
+# once, at its tol, and only the last one under the certificate stop.
 _STACK_NODES = 40960
-# Tolerance of the solves of a run's stacks before its last, which only runs
-# of more backgrounds than one stack holds make (none of the bench rows).
-# On 200 runs of each bench row (n = 1024, k = 20) at three base seeds, in
-# stacks of 20, sums of such solves (then all of a run's stacks) certified
-# all but 0-6 er(avg 2) runs, and the solves took 30% fewer steps than at
-# 1e-8 (15.3 -> 10.7).  Solved with the certificate stop, a run's one stack
-# of 40 er(avg 2) hosts takes 7.1-7.3 steps, and every run certifies.
-_FIRST_TOL = 1e-4
 # Projected relative change of a step (the screen of expm_action) from which
 # the solve of a run's last stack offers every iterate to its certificate.
 # Each offer costs an iterate (a GEMV over the basis) and a margin.  On 100
@@ -130,13 +120,11 @@ class ScoreVector:
 class _Certified:
     """Summed scores of a run, with the margin of their top-k set.
 
-    ``margin`` is gap / (2 err) (see :func:`_margin`); ``fell_back`` says
-    whether the stacks were solved a second time, at ``params.tol``.
+    ``margin`` is gap / (2 err) (see :func:`_margin`).
     """
 
     scores: ScoreVector
     margin: float
-    fell_back: bool
 
 
 def subgraph_centrality(g: Graph) -> ScoreVector:
@@ -217,7 +205,19 @@ def _summed_stacks(stacks: Iterable[tuple[Graph, int]], params: KrylovParams) ->
     one after another; it gets one Krylov solve, and its blocks are summed in
     order.
     """
-    return _summed_parts(_solved_stacks(stacks, params))[0]
+    scores = None
+    count = 0
+    for union, blocks in stacks:
+        part = _solved(union, blocks, params)[0]
+        if scores is None:
+            scores = np.zeros(part.size)
+        elif part.size != scores.size:
+            raise ValueError("all graphs must have the same node count")
+        scores += part
+        count += blocks
+    if scores is None:
+        raise ValueError("summed_total_communicability needs at least one graph")
+    return ScoreVector(scores, "tc_sum", count)
 
 
 def _margin(scores: np.ndarray, err: float, k: int) -> float:
@@ -291,62 +291,19 @@ def _solved(union: Graph, blocks: int, params: KrylovParams, hook: _Change | Non
     return result.value.reshape(blocks, -1).sum(axis=0), hook.change if result.est_error else 0.0
 
 
-def _solved_stacks(
-    stacks: Iterable[tuple[Graph, int]], params: KrylovParams
-) -> Iterator[tuple[np.ndarray, float, int]]:
-    """``(summed blocks, change, blocks)`` of each stack solved at ``params``, as drawn."""
-    for union, blocks in stacks:
-        yield (*_solved(union, blocks, params), blocks)
-
-
-def _summed_parts(parts: Iterable[tuple[np.ndarray, float, int]]) -> tuple[ScoreVector, float]:
-    """The sum of solved stacks, in order, and the sum of their recorded changes."""
-    scores = None
-    err = 0.0
-    count = 0
-    for part, change, blocks in parts:
-        if scores is None:
-            scores = np.zeros(part.size)
-        elif part.size != scores.size:
-            raise ValueError("all graphs must have the same node count")
-        scores += part
-        err += change
-        count += blocks
-    if scores is None:
-        raise ValueError("summed_total_communicability needs at least one graph")
-    return ScoreVector(scores, "tc_sum", count), err
-
-
-def _certified_parts(parts: Iterable[tuple[np.ndarray, float, int]], k: int, fell_back: bool) -> _Certified:
-    """The sum of solved stacks, in order, with the margin of its top-k set."""
-    scores, err = _summed_parts(parts)
-    return _Certified(scores, _margin(scores.scores, err, k), fell_back)
-
-
 def _certified_stacks(
     stacks: Iterable[tuple[Graph, int]], params: KrylovParams, k: int, backgrounds: int
 ) -> _Certified:
     """Summed scores of a run's stacks, of ``backgrounds`` graphs in all, that settle its top-k set.
 
-    Every stack but the last is solved at ``_FIRST_TOL``, as it comes, and
-    kept.  The last is solved at ``params.tol`` with the :class:`_Stop`
-    hook, which ends the solve at the first iterate that certifies the sum:
-    err adds, over the stacks, the entrywise change of each stack's summed
-    blocks between its last two iterates.  When the last stack's solve
-    reaches ``tol`` (or is exact) without a certificate, the earlier stacks
-    are solved again at ``params.tol``, and the sum is :func:`_summed_stacks`'
-    bytes; so is it, drawn lazily, when an earlier solve does not converge.
-    A one-stack run never solves twice.  With ``params.tol`` at or above
-    ``_FIRST_TOL`` every stack is solved once, at ``params.tol``, with no
-    stop.  ``fell_back`` says whether the scores are those at ``params.tol``
-    because no certificate stopped them; the margin is that of the scores
-    returned.
+    Each stack is solved once, at ``params.tol``, as it is drawn.  The stack
+    that reaches ``backgrounds`` is solved with the :class:`_Stop` hook,
+    which ends the solve at the first iterate that certifies the sum: err
+    adds, over the stacks, the entrywise change of each stack's summed
+    blocks between its last two iterates.  A run that never certifies keeps
+    the scores at ``params.tol``, :func:`_summed_stacks`' bytes.  The margin
+    is that of the scores returned.
     """
-    stacks = iter(stacks)
-    if params.tol >= _FIRST_TOL:
-        return _certified_parts(_solved_stacks(stacks, params), k, fell_back=False)
-    first = replace(params, tol=_FIRST_TOL)
-    kept: list[tuple[Graph, int]] = []
     scores = None
     err = 0.0
     count = 0
@@ -354,24 +311,13 @@ def _certified_stacks(
         if scores is None:
             scores = np.zeros(union.n // blocks)
         count += blocks
-        if count >= backgrounds:
-            break
-        kept.append((union, blocks))
-        try:
-            part, change = _solved(union, blocks, first)
-        except KrylovNotConvergedError:
-            return _certified_parts(_solved_stacks(itertools.chain(kept, stacks), params), k, fell_back=True)
+        last = count >= backgrounds
+        part, change = _solved(union, blocks, params, _Stop(blocks, scores, err, k) if last else None)
         scores += part
         err += change
-    else:
-        raise ValueError(f"the stacks hold only {count} of {backgrounds} backgrounds")
-    last, change = _solved(union, blocks, params, _Stop(blocks, scores, err, k))
-    scores += last
-    margin = _margin(scores, err + change, k)
-    if margin > 1.0:
-        return _Certified(ScoreVector(scores, "tc_sum", count), margin, fell_back=False)
-    resolved = itertools.chain(_solved_stacks(kept, params), [(last, change, blocks)])
-    return _certified_parts(resolved, k, fell_back=True)
+        if last:
+            return _Certified(ScoreVector(scores, "tc_sum", count), _margin(scores, err, k))
+    raise ValueError(f"the stacks hold only {count} of {backgrounds} backgrounds")
 
 
 def accumulate(vectors: Sequence[ScoreVector]) -> ScoreVector:

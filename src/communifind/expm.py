@@ -76,7 +76,7 @@ _SCREEN_SLACK = 1e-12
 # steps copies its block into a larger one.  The floor also holds the
 # slowest large single graphs measured (25 steps: BA m=2 at 1e5 nodes, SW
 # k=40 at 5e4), so they grow no more often than with the former 32 rows.  A
-# solve that outgrows the block doubles it.
+# solve that outgrows the block doubles it, and the projected matrix with it.
 _BASIS_BYTES = 1 << 22
 _BASIS_MIN_ROWS = 25
 
@@ -266,10 +266,12 @@ def expm_action(
 
     a = graphs.adjacency(g)
     m = params.m
-    basis = np.empty((min(m, _basis_rows(n)), n))
+    rows = min(m, _basis_rows(n))
+    basis = np.empty((rows, n))
     np.divide(v, beta0, out=basis[0])
-    alphas = np.empty(m)  # diagonal of the projected tridiagonal matrix
-    betas = np.empty(m)  # its off-diagonal
+    # the projected tridiagonal matrix, grown with the basis
+    alphas = np.empty(rows)  # its diagonal
+    betas = np.empty(rows)  # its off-diagonal
     scratch = np.empty(n)
     screen = 2.0 * params.tol + _SCREEN_SLACK
     certifying = False  # a step's projected change reached the hook's screen
@@ -333,7 +335,10 @@ def expm_action(
         y_prev = y
         if s < m:
             if s == len(basis):
-                basis = np.vstack((basis, np.empty((min(s, m - s), n))))
+                rows = min(s, m - s)
+                basis = np.vstack((basis, np.empty((rows, n))))
+                alphas = np.concatenate((alphas, np.empty(rows)))
+                betas = np.concatenate((betas, np.empty(rows)))
             betas[s - 1] = beta
             np.divide(w, beta, out=basis[s])
 

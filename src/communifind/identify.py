@@ -6,14 +6,12 @@ the per-node total-communicability scores across those realizations, and
 selects the top-k nodes.  The hosts are built as they are scored, one Krylov
 stack at a time: one :func:`~communifind.graphs.generate` call makes a
 stack's backgrounds as one union graph, one :func:`apply_embedding` call
-overlays the target on all of them, and one solve scores the stack: at a
-loose tolerance, but for the last stack, which is solved toward
-``krylov.tol`` until the run's sum certifies its top-k set; the earlier
-stacks are solved again at ``krylov.tol`` only when it never does.  The
-identification rate is the fraction of target nodes recovered.  Seeds are
-derived deterministically from the base seed and the run index, so results
-are reproducible and independent of how runs are scheduled across worker
-processes.
+overlays the target on all of them, and one solve at ``krylov.tol``
+scores the stack; the solve of the last stack stops early once the run's
+sum certifies its top-k set.  The identification rate is the fraction of
+target nodes recovered.  Seeds are derived deterministically from the base
+seed and the run index, so results are reproducible and independent of how
+runs are scheduled across worker processes.
 
 One driver, :func:`_run`, executes a run of either method: the pipeline
 here and the modularity baseline pass their own score and select steps.
@@ -178,9 +176,9 @@ class ExperimentConfig:
     ``background.seed`` is ignored: per-background seeds are derived from
     ``base_seed`` and the run index, one run reusing a single embedding
     across all its backgrounds.  ``k`` defaults to the target size.
-    ``krylov.tol`` is the fallback tolerance of :func:`run_pipeline`: a run's
-    scores are those at it only when no certificate of the run's top-k set
-    stops the solve of its last stack first.
+    :func:`run_pipeline` solves every stack of a run once, at ``krylov.tol``;
+    a certificate of the run's top-k set may stop the solve of its last
+    stack first.
     """
 
     background: GraphGenSpec
@@ -236,10 +234,7 @@ class RunResult:
     of the sum.  Above 1 it certifies the top-k set, as far as the solves'
     iterate-change estimate, which is not a bound, holds.  It is inf when k
     covers every node or the error is 0 with a gap, 0 on an exact tie, and
-    nan for the baseline, which has no certificate.  ``fell_back`` says
-    whether the run's scores are those at ``krylov.tol``, because no
-    certificate stopped the solve of its last stack (its earlier stacks were
-    then solved a second time, at ``krylov.tol``).
+    nan for the baseline, which has no certificate.
     Everything but ``seconds`` is identical for any ``jobs``.
     """
 
@@ -248,7 +243,6 @@ class RunResult:
     hits: int
     rate: float
     margin: float = math.nan
-    fell_back: bool = False
     seconds: PhaseSeconds = field(default_factory=PhaseSeconds)
 
 
@@ -307,7 +301,7 @@ def _run(
     stacks of :func:`~communifind.communicability.hosts_per_stack` hosts as
     ``(union, blocks)`` pairs.  ``score`` consumes them as it goes, so its
     time less the hosts' build time is the scoring time.  Certified scores
-    (the pipeline's) pass their margin and fallback on to the result.
+    (the pipeline's) pass their margin on to the result.
     """
     times = PhaseSeconds()
     embedding = draw_embedding(
@@ -323,14 +317,12 @@ def _run(
     times.scoring = t1 - t0 - times.generation
     hits = int(np.isin(embedding.map, candidates).sum())
     rate = hits / cfg.target.t
-    certified = isinstance(scored, _Certified)
     return RunResult(
         embedding=embedding,
         candidates=candidates,
         hits=hits,
         rate=rate,
-        margin=scored.margin if certified else math.nan,
-        fell_back=certified and scored.fell_back,
+        margin=scored.margin if isinstance(scored, _Certified) else math.nan,
         seconds=times,
     )
 
@@ -405,16 +397,14 @@ def _map_runs(
 def run_pipeline(cfg: ExperimentConfig, *, jobs: int = 1) -> list[RunResult]:
     """Execute all runs of the experiment across ``jobs`` worker processes.
 
-    A run's stacks are solved at a loose tolerance, but for the last, which
-    is solved toward ``cfg.krylov.tol`` until the run's summed scores
-    certify its top-k set; the earlier stacks are solved again at ``tol``
-    only when they never do
+    Each of a run's stacks is solved once, at ``cfg.krylov.tol``, and the
+    last one only until the run's summed scores certify its top-k set
     (:func:`~communifind.communicability._certified_stacks`, told the run's
-    background count).  So here ``tol`` is the fallback tolerance, and a
-    certified run's candidates are those of its scores at ``tol`` as far as
-    the solves' error estimate holds.  Results are identical for any ``jobs``, apart from their phase
-    ``seconds``: every run derives its own seeds and results are collected
-    in run order.
+    background count).  So a certified run's candidates are those of its
+    scores at ``tol`` as far as the solves' error estimate holds, and an
+    uncertified run's scores are those at ``tol``.  Results are identical
+    for any ``jobs``, apart from their phase ``seconds``: every run derives
+    its own seeds and results are collected in run order.
     """
     k = cfg.effective_k
     return _map_runs(

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -270,16 +272,16 @@ def test_margin_of_the_kth_gap():
 
 
 def test_certified_run_solves_each_stack_once(monkeypatch):
-    # the first stack is solved at _FIRST_TOL, the last one at tol until
-    # its certificate stops it; nothing is solved twice
+    # the first stack is solved at tol, the last one at tol until its
+    # certificate stops it; nothing is solved twice
     spec = GraphGenSpec(model="er", n=1024, avg_degree=2.0)
     stacks = [(generate(spec, [1, 2, 3]), 3), (generate(spec, [4, 5]), 2)]
     events, results = [], []
     _recording_solves(monkeypatch, events, results)
     params = KrylovParams()
     got = communicability._certified_stacks(_drawn(stacks, events), params, k=20, backgrounds=5)
-    assert events == [("draw", 0), ("solve", communicability._FIRST_TOL), ("draw", 1), ("stop", params.tol)]
-    assert not got.fell_back and got.margin > 1.0
+    assert events == [("draw", 0), ("solve", params.tol), ("draw", 1), ("stop", params.tol)]
+    assert got.margin > 1.0
     assert results[-1].certified and results[-1].converged and results[-1].est_error > params.tol
     assert got.scores.num_backgrounds == 5
     exact = communicability._summed_stacks(iter(stacks), params)
@@ -291,13 +293,13 @@ _TOL = KrylovParams().tol
 
 @pytest.mark.parametrize(
     ("backgrounds", "solves", "blocks"),
-    [(40, [("stop", _TOL)], [40]), (41, [("solve", communicability._FIRST_TOL), ("stop", _TOL)], [40, 1])],
+    [(40, [("stop", _TOL)], [40]), (41, [("solve", _TOL), ("stop", _TOL)], [40, 1])],
     ids=["N40", "N41"],
 )
 def test_pipeline_run_solves_a_full_stack_once(monkeypatch, backgrounds, solves, blocks):
     # at n = 1024 a run's 40 sparse backgrounds are one stack, solved once
-    # under the certificate with no solve at _FIRST_TOL; a 41st background
-    # makes a second stack, and the full one goes to _FIRST_TOL first
+    # under the certificate; a 41st background makes a second stack, and
+    # the full one is solved once at tol first
     events, results = [], []
     _recording_solves(monkeypatch, events, results)
     cfg = ExperimentConfig(
@@ -314,39 +316,37 @@ def test_pipeline_run_solves_a_full_stack_once(monkeypatch, backgrounds, solves,
     assert results[-1].certified
 
 
-def test_exact_tie_falls_back_to_tol(monkeypatch):
+def test_exact_tie_keeps_the_scores_at_tol(monkeypatch):
     # every node of a cycle scores the same, and the solve is exact: the
-    # gap is 0, so no certificate can stop the last stack; only the earlier
-    # stack is solved again, without being drawn again
+    # gap is 0, so no certificate can stop the last stack, and the one solve
+    # of each stack gives the scores at tol
     cycle = _cycle()
     stacks = [(disjoint_union([cycle, cycle]), 2), (cycle, 1)]
     events = []
     _recording_solves(monkeypatch, events)
     params = KrylovParams()
     got = communicability._certified_stacks(_drawn(stacks, events), params, k=3, backgrounds=3)
-    first = ("solve", communicability._FIRST_TOL)
-    assert events == [("draw", 0), first, ("draw", 1), ("stop", params.tol), ("solve", params.tol)]
-    assert got.fell_back and got.margin == 0.0
+    assert events == [("draw", 0), ("solve", params.tol), ("draw", 1), ("stop", params.tol)]
+    assert got.margin == 0.0
     assert got.scores.scores.tobytes() == communicability._summed_stacks(iter(stacks), params).scores.tobytes()
     assert top_k(got.scores, 3).tolist() == [0, 1, 2]
 
 
 def test_single_stack_tie_solves_once(monkeypatch):
-    # a one-stack run has no earlier stack to solve again: its only solve,
-    # at tol, gives the scores at tol
+    # a one-stack run's only solve, at tol, gives the scores at tol
     events = []
     _recording_solves(monkeypatch, events)
     params = KrylovParams()
     got = communicability._certified_stacks(_drawn([(_cycle(), 1)], events), params, k=3, backgrounds=1)
     assert events == [("draw", 0), ("stop", params.tol)]
-    assert got.fell_back and got.margin == 0.0
+    assert got.margin == 0.0
     assert got.scores.scores.tobytes() == communicability._summed_stacks([(_cycle(), 1)], params).scores.tobytes()
 
 
-def test_uncertified_run_solves_only_its_first_stack_again(monkeypatch):
+def test_uncertified_run_solves_each_stack_once(monkeypatch):
     # two copies of one graph in each stack tie node i with node i + 200 bit
     # for bit, so k = 1 is never certified, yet no solve is exact: the last
-    # stack runs on to tol, and only the first is solved again
+    # stack runs on to tol, and no stack is solved again
     g = generate(GraphGenSpec(model="er", n=200, avg_degree=4.0, seed=3))
     twins = disjoint_union([g, g])
     stacks = [(twins, 1), (twins, 1)]
@@ -354,10 +354,9 @@ def test_uncertified_run_solves_only_its_first_stack_again(monkeypatch):
     _recording_solves(monkeypatch, events, results)
     params = KrylovParams()
     got = communicability._certified_stacks(_drawn(stacks, events), params, k=1, backgrounds=2)
-    first = ("solve", communicability._FIRST_TOL)
-    assert events == [("draw", 0), first, ("draw", 1), ("stop", params.tol), ("solve", params.tol)]
+    assert events == [("draw", 0), ("solve", params.tol), ("draw", 1), ("stop", params.tol)]
     assert not results[1].certified and 0.0 < results[1].est_error <= params.tol
-    assert got.fell_back and got.margin == 0.0
+    assert got.margin == 0.0
     assert got.scores.scores.tobytes() == communicability._summed_stacks(iter(stacks), params).scores.tobytes()
 
 
@@ -412,7 +411,7 @@ def test_certified_stop_comes_no_earlier_than_the_cert_screen(model, monkeypatch
     _recording_solves(monkeypatch, [], results)
     got = communicability._certified_stacks([(g, 1)], params, k=20, backgrounds=1)
     first = min(s for s, r in ratios().items() if r <= communicability._CERT_SCREEN)
-    assert results[0].certified and not got.fell_back
+    assert results[0].certified and got.margin > 1.0
     assert first <= results[0].iterations < expm_action(g, np.ones(g.n), params).iterations
 
 
@@ -421,30 +420,61 @@ def test_certified_stacks_need_the_stated_backgrounds():
         communicability._certified_stacks([(_cycle(), 1)], KrylovParams(), k=3, backgrounds=2)
 
 
-def test_unconverged_first_pass_falls_back_lazily(monkeypatch):
-    # a first-pass solve that does not converge sends its stack and the
-    # rest, drawn only now, to tol; with the same budget they raise there,
-    # with the caller's tol
+def test_unconverged_earlier_stack_raises(monkeypatch):
+    # an earlier stack whose solve does not converge raises with the
+    # caller's tol, before the next stack is drawn
     g = generate(GraphGenSpec(model="sw", n=2000, k=40, beta=0.1, seed=1))
     events = []
     _recording_solves(monkeypatch, events)
     params = KrylovParams(m=4)
     with pytest.raises(KrylovNotConvergedError) as caught:
         communicability._certified_stacks(_drawn([(g, 1), (g, 1)], events), params, k=20, backgrounds=2)
-    assert events == [("draw", 0), ("solve", communicability._FIRST_TOL), ("solve", params.tol)]
+    assert events == [("draw", 0), ("solve", params.tol)]
     assert caught.value.tol == params.tol and caught.value.iterations == 4
 
 
 @pytest.mark.parametrize("tol", [1e-4, 1e-3])
 def test_loose_user_tol_makes_one_pass(monkeypatch, tol):
-    assert tol >= communicability._FIRST_TOL
+    # a loose tol makes one solve per stack, under the certificate, as 1e-8 does
     g = generate(GraphGenSpec(model="ba", n=500, m=3, seed=2))
-    for graph in (_cycle(), g):  # a tie and a certified set alike
+    params = KrylovParams(tol=tol)
+    for graph, k in ((_cycle(), 3), (g, 3)):  # a tie and a certified set
         events = []
         _recording_solves(monkeypatch, events)
-        got = communicability._certified_stacks(_drawn([(graph, 1)], events), KrylovParams(tol=tol), k=3, backgrounds=1)
-        assert events == [("draw", 0), ("solve", tol)]
-        assert not got.fell_back
+        got = communicability._certified_stacks(_drawn([(graph, 1)], events), params, k=k, backgrounds=1)
+        assert events == [("draw", 0), ("stop", tol)]
+        at_tol = communicability._summed_stacks([(graph, 1)], params)
+        assert np.array_equal(top_k(got.scores, k), top_k(at_tol, k))
+    assert got.margin > 1.0
+
+
+def test_earlier_stacks_are_released_before_the_last_solve(monkeypatch):
+    # no stack is kept for a second solve: when the last stack's solve
+    # starts, the unions of the earlier stacks are garbage
+    spec = GraphGenSpec(model="er", n=1024, avg_degree=2.0)
+    unions = []
+
+    def built():
+        for seeds in ([1, 2], [3, 4], [5]):
+            union = generate(spec, seeds)
+            unions.append(weakref.ref(union))
+            yield union, len(seeds)
+
+    events, alive = [], []
+    _recording_solves(monkeypatch, events)
+    recorded = communicability.expm_action
+
+    def checked(g, v, params, *, blocks, _certify=None):
+        if isinstance(_certify, communicability._Stop):
+            gc.collect()
+            alive.extend(ref() is not None for ref in unions[:-1])
+        return recorded(g, v, params, blocks=blocks, _certify=_certify)
+
+    monkeypatch.setattr(communicability, "expm_action", checked)
+    params = KrylovParams()
+    communicability._certified_stacks(built(), params, k=20, backgrounds=5)
+    assert alive == [False, False]
+    assert events == [("solve", params.tol), ("solve", params.tol), ("stop", params.tol)]
 
 
 @pytest.mark.parametrize("graphs", [1, 2])

@@ -368,7 +368,7 @@ def test_pipeline_trivial_when_target_fills_background():
     for r in run_pipeline(cfg):
         assert r.rate == 1.0 and r.hits == 20
         # k covers every node: no gap is needed
-        assert r.margin == math.inf and not r.fell_back
+        assert r.margin == math.inf
 
 
 def test_run_results_internally_consistent():
@@ -393,7 +393,7 @@ def test_pipeline_deterministic_across_calls_and_jobs():
         assert np.array_equal(x.embedding.map, y.embedding.map)
         assert np.array_equal(x.candidates, y.candidates)
         assert x.rate == y.rate
-        assert x.margin == y.margin and x.fell_back == y.fell_back
+        assert x.margin == y.margin
 
 
 def _same_runs(a, b) -> bool:
@@ -403,7 +403,6 @@ def _same_runs(a, b) -> bool:
         and x.hits == y.hits
         and x.rate == y.rate
         and (x.margin == y.margin or math.isnan(x.margin) and math.isnan(y.margin))
-        and x.fell_back == y.fell_back
         for x, y in zip(a, b)
     )
 
@@ -448,8 +447,8 @@ def test_unconverged_run_raises_at_any_jobs():
 
 
 # The four row shapes of the benchmark, at n = 1024 with k = 20, each one
-# stack, and a row of two full stacks: its first is solved at _FIRST_TOL, and
-# that solve's nonzero change feeds the certificate of the last.
+# stack, and a row of two full stacks: its first is solved at tol, and that
+# solve's nonzero change feeds the certificate of the last.
 _CERTIFIED_ROWS = {
     "er-avg2-sparse-N40": (GraphGenSpec(model="er", n=1024, avg_degree=2.0), canonical_sparse_target(0), 40),
     "sw-k40-clique-N2": (GraphGenSpec(model="sw", n=1024, k=40, beta=0.1), clique(20), 2),
@@ -461,9 +460,8 @@ _CERTIFIED_ROWS = {
 
 @pytest.mark.parametrize("row", list(_CERTIFIED_ROWS))
 def test_certified_candidates_are_those_at_tol(row):
-    # a run keeps its scores only when they certify their top-k set, and
-    # otherwise falls back to the scores at tol; the candidates must be those
-    # of the scores at tol either way
+    # a run's scores either certify their top-k set or are the scores at
+    # tol; the candidates must be those of the scores at tol either way
     background, target, num_backgrounds = _CERTIFIED_ROWS[row]
     cfg = ExperimentConfig(
         background=background, target=target, num_backgrounds=num_backgrounds, runs=50, base_seed=11_000_000, k=20
@@ -474,9 +472,8 @@ def test_certified_candidates_are_those_at_tol(row):
         hosts = identify._hosts(cfg, i, r.embedding, identify.PhaseSeconds(), per_stack)
         at_tol = communicability._summed_stacks(hosts, cfg.krylov)
         assert np.array_equal(r.candidates, top_k(at_tol, 20))
-        assert r.fell_back or r.margin > 1.0
-    # most runs are certified without a fallback
-    assert sum(r.fell_back for r in results) < cfg.runs // 2
+    # most runs are certified
+    assert sum(r.margin <= 1.0 for r in results) < cfg.runs // 2
 
 
 def test_stacked_scoring_matches_one_solve_per_background(monkeypatch):

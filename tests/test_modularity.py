@@ -413,4 +413,4 @@ def test_baseline_results_consistent():
         assert r.rate == r.hits / 10
         assert np.all(np.diff(r.candidates) > 0)
         # the baseline has no certificate
-        assert np.isnan(r.margin) and not r.fell_back
+        assert np.isnan(r.margin)
