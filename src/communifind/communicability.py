@@ -202,8 +202,8 @@ def _summed_stacks(stacks: Iterable[tuple[Graph, int]], params: KrylovParams) ->
     """:func:`summed_total_communicability` of stacks given as ``(union, blocks)``.
 
     Each union holds ``blocks`` equal graphs of the same node count, numbered
-    one after another; it gets one Krylov solve, and its blocks are summed in
-    order.
+    one after another; it gets one Krylov solve, with no certificate hook,
+    and its blocks are summed in order.
     """
     scores = None
     count = 0
@@ -278,17 +278,17 @@ class _Stop(_Change):
 
 
 def _solved(union: Graph, blocks: int, params: KrylovParams, hook: _Change | None = None) -> tuple[np.ndarray, float]:
-    """One stack's blocks summed, and the recorded change of that sum (0 when exact).
+    """One stack's blocks summed, and the change of that sum that ``hook`` recorded.
 
-    Raises :class:`~communifind.expm.KrylovNotConvergedError` when the solve
-    does not converge.
+    The change is 0 without a hook and for an exact solve.  Raises
+    :class:`~communifind.expm.KrylovNotConvergedError` when the solve does
+    not converge.
     """
-    hook = hook or _Change(blocks)
     result = expm_action(union, np.ones(union.n), params, blocks=blocks, _certify=hook)
     if not result.converged:
         raise KrylovNotConvergedError(result.est_error, params.tol, result.iterations)
     # an exact solve returns before the hook sees its last iterate
-    return result.value.reshape(blocks, -1).sum(axis=0), hook.change if result.est_error else 0.0
+    return result.value.reshape(blocks, -1).sum(axis=0), hook.change if hook and result.est_error else 0.0
 
 
 def _certified_stacks(
@@ -296,8 +296,9 @@ def _certified_stacks(
 ) -> _Certified:
     """Summed scores of a run's stacks, of ``backgrounds`` graphs in all, that settle its top-k set.
 
-    Each stack is solved once, at ``params.tol``, as it is drawn.  The stack
-    that reaches ``backgrounds`` is solved with the :class:`_Stop` hook,
+    Each stack is solved once, at ``params.tol``, as it is drawn: the
+    earlier ones under the recording :class:`_Change` hook, and the stack
+    that reaches ``backgrounds`` under the :class:`_Stop` hook,
     which ends the solve at the first iterate that certifies the sum: err
     adds, over the stacks, the entrywise change of each stack's summed
     blocks between its last two iterates.  A run that never certifies keeps
@@ -312,7 +313,7 @@ def _certified_stacks(
             scores = np.zeros(union.n // blocks)
         count += blocks
         last = count >= backgrounds
-        part, change = _solved(union, blocks, params, _Stop(blocks, scores, err, k) if last else None)
+        part, change = _solved(union, blocks, params, _Stop(blocks, scores, err, k) if last else _Change(blocks))
         scores += part
         err += change
         if last:

@@ -5,7 +5,8 @@ unweighted, with dense 0-based node labels.  A graph stores its edges as
 sorted canonical codes ``u * n + v`` (u < v): the generators emit them in
 that form, overlaying a target merges codes, and a disjoint union
 concatenates them.  :func:`generate` also builds a stack of graphs from
-several seeds as their disjoint union, ER ones in one vectorized pass.
+several seeds as their disjoint union.  Every ER graph with 0 < p < 1, one
+seed's or a stack's, comes from one vectorized pass (:func:`_er_stack`).
 
 :func:`adjacency` is the one place that turns the codes into the adjacency
 matrix A, in coordinate form with no sort.  A Krylov solve multiplies by it
@@ -335,14 +336,16 @@ def generate(spec: GraphGenSpec, seeds: Iterable[int] | None = None) -> Graph:
     ``generate(spec)`` dispatches to the generator selected by
     ``spec.model``.  ``generate(spec, seeds)`` is the :func:`disjoint_union`
     of ``generate(replace(spec, seed=s))`` over ``seeds``, byte for byte.  An
-    ER stack of two or more seeds with 0 < p < 1 is generated in one
+    ER stack with 0 < p < 1, of any number of seeds, is generated in one
     vectorized pass (:func:`_er_stack`); every other stack unions its
-    per-seed graphs.
+    per-seed graphs.  An empty seed list is an error.
     """
     if seeds is None:
         return _generate_one(spec)
     seeds = list(seeds)
-    if spec.model == "er" and len(seeds) >= 2 and 0.0 < spec.avg_degree / (spec.n - 1) < 1.0:
+    if not seeds:
+        raise ValueError("generate needs at least one seed, got an empty seed list")
+    if spec.model == "er" and 0.0 < spec.avg_degree / (spec.n - 1) < 1.0:
         return _er_stack(spec, seeds)
     return disjoint_union([_generate_one(dataclasses.replace(spec, seed=s)) for s in seeds])
 
@@ -392,15 +395,8 @@ def gen_erdos_renyi(spec: GraphGenSpec) -> Graph:
     """G(n, p) with p = avg_degree / (n - 1).
 
     Pairs are enumerated in lexicographic order and successes located by
-    geometric gap-skipping (Batagelj & Brandes 2005): a block of gaps, a
-    cumulative sum of pair positions, and their closed-form decode into
-    endpoints (:func:`_decode_pairs`), so the cost is O(E) rather than
-    O(n^2).  The first block holds the expected number of successes plus
-    :func:`_er_block_margin`, so it almost always reaches the last pair;
-    when a block ends short of it, the next block, about as many gaps as
-    successes are expected in the pairs left, continues the same stream.
-    Gaps past the last pair are discarded, so the graph does not depend on
-    the block sizes.
+    geometric gap-skipping (Batagelj & Brandes 2005), so the cost is O(E)
+    rather than O(n^2): the one-seed stack of :func:`_er_stack`.
     """
     if spec.model != "er":
         raise ValueError("gen_erdos_renyi requires an 'er' spec")
@@ -412,56 +408,50 @@ def gen_erdos_renyi(spec: GraphGenSpec) -> Graph:
         return Graph._from_codes(n, codes)
     if p <= 0.0:
         return Graph._from_codes(n, np.empty(0, dtype=np.int64))
-    rng = SeededRng(spec.seed)
-    total = n * (n - 1) // 2
-    chunks = []
-    last = -1  # linear index into the lexicographic pair enumeration
-    block = _er_first_block(total, p)
-    while last < total:
-        gaps = np.minimum(rng.geometric_skips(p, block), total)
-        positions = last + np.cumsum(gaps + 1)
-        chunks.append(positions)
-        last = int(positions[-1])
-        block = math.ceil((total - 1 - last) * p) + 1
-    positions = np.concatenate(chunks)
-    positions = positions[: np.searchsorted(positions, total)]
-    us, vs = _decode_pairs(n, positions)
-    return Graph._from_codes(n, us * n + vs)  # lexicographic enumeration => already sorted
+    return _er_stack(spec, [spec.seed])
 
 
 def _er_stack(spec: GraphGenSpec, seeds: list[int]) -> Graph:
     """``generate(spec, seeds)`` for ER with 0 < p < 1, in one 2-D pass.
 
-    Row ``j`` of one ``(len(seeds), block)`` array of gaps is the first block
-    of :func:`gen_erdos_renyi` for ``seeds[j]``: the same uniforms
-    (:func:`~communifind.rng.stacked_uniforms`), the same gap expression and
-    the same cumulative sum, run along axis 1.  One :func:`_decode_pairs`
-    call decodes the pairs of every row, and block ``j``'s endpoints are
-    shifted by ``j * n`` into the union's node numbering.  A row whose first
-    block ends short of the last pair is generated by :func:`gen_erdos_renyi`
-    for its own seed, so no graph depends on the batching.
+    Row ``j`` of one ``(len(seeds), block)`` array of gaps holds the gaps of
+    ``seeds[j]``: its uniforms (:func:`~communifind.rng.stacked_uniforms`)
+    through :func:`~communifind.rng.geometric_gaps`, capped at the pair
+    count, whose cumulative sum along the row gives the positions of the
+    row's edges in the lexicographic enumeration of pairs.  The block holds
+    the expected number of successes plus :func:`_er_block_margin`, so it
+    almost always reaches the last pair; when some row ends short of it,
+    the stack draws again with twice the gaps, which extend every row's
+    gaps at the same counters.  Positions past the last pair are discarded,
+    so no graph depends on the block size or on the batching.  One
+    :func:`_decode_pairs` call decodes the pairs of every row, and block
+    ``j``'s codes are shifted by ``j * n`` nodes into the union's numbering.
     """
     n = spec.n
     p = spec.avg_degree / (n - 1)
     total = n * (n - 1) // 2
-    blocks = len(seeds)
-    size = blocks * n
-    gaps = np.minimum(geometric_gaps(stacked_uniforms(seeds, _er_first_block(total, p)), p), total)
-    positions = np.cumsum(gaps + 1, axis=1) - 1
-    short = positions[:, -1] < total
-    keep = positions < total
-    keep[short] = False
-    us, vs = _decode_pairs(n, positions[keep])
-    shift = np.repeat(np.arange(0, size, n, dtype=np.int64), np.count_nonzero(keep, axis=1))
-    us += shift
-    vs += shift
+    size = len(seeds) * n
+    block = _er_first_block(total, p)
+    while True:
+        # in place: each fresh array of this size would cost its page faults
+        gaps = geometric_gaps(stacked_uniforms(seeds, block), p)
+        np.minimum(gaps, total, out=gaps)
+        gaps += 1
+        positions = np.cumsum(gaps, axis=1, out=gaps)
+        positions -= 1
+        # positions ascend along a row, so the kept ones are a prefix of it,
+        # all of it when the row ends short of the last pair
+        ends = [int(np.searchsorted(row, total)) for row in positions]
+        if max(ends) < block:
+            break
+        block *= 2
+    if len(seeds) == 1:
+        us, vs = _decode_pairs(n, positions[0, : ends[0]])
+        return Graph._from_codes(n, us * n + vs)  # lexicographic enumeration => already sorted
+    us, vs = _decode_pairs(n, np.concatenate([row[:end] for row, end in zip(positions, ends)]))
     codes = us * size + vs
-    if short.any():
-        parts = [codes]
-        for j in np.flatnonzero(short).tolist():
-            us, vs = np.divmod(gen_erdos_renyi(dataclasses.replace(spec, seed=seeds[j])).edge_codes(), n)
-            parts.append((us + j * n) * size + (vs + j * n))
-        codes = np.sort(np.concatenate(parts))
+    # (u + o) * size + (v + o) for block offset o = j * n
+    codes += np.repeat(np.arange(0, size, n, dtype=np.int64) * (size + 1), ends)
     return Graph._from_codes(size, codes)
 
 

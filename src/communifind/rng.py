@@ -9,10 +9,10 @@ is one numpy expression and yields the same values as the same number of
 scalar draws.  Pinning the algorithm (rather than delegating to a library
 generator whose stream may change between releases) makes every seed
 reproduce bit-identically across reruns, worker counts, versions and
-platforms; only the geometric gaps (:meth:`SeededRng.geometric_skips` and
-:func:`geometric_gaps`) go through the platform's ``log``, whose last ulp may
-differ between math libraries.  The draws of several seeds at the same
-counters are one 2-D expression as well (:func:`stacked_uniforms`).
+platforms; only the geometric gaps (:func:`geometric_gaps`, the one gap
+expression of gap-skipping) go through the platform's ``log``, whose last
+ulp may differ between math libraries.  The draws of several seeds at the
+same counters are one 2-D expression as well (:func:`stacked_uniforms`).
 """
 
 from __future__ import annotations
@@ -134,17 +134,6 @@ class SeededRng:
     def uniforms(self, count: int) -> np.ndarray:
         """The next ``count`` uniforms in [0, 1), equal to that many :meth:`random` calls."""
         return _to_unit(self.u64s(count))
-
-    def geometric_skips(self, p: float, count: int) -> np.ndarray:
-        """Failures before the first success of ``count`` Bernoulli(p) processes.
-
-        :func:`geometric_gaps` of the next block of ``count`` uniforms, used
-        for gap-skipping enumeration of sparse Bernoulli processes.  Requires
-        0 < p < 1.
-        """
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"geometric skips need 0 < p < 1, got {p}")
-        return geometric_gaps(self.uniforms(count), p)
 
     def randrange(self, bound: int) -> int:
         """Uniform integer in [0, bound) via unbiased bitmask rejection."""

@@ -235,6 +235,31 @@ def test_given_stacks_score_as_the_graphs_they_union():
         communicability._summed_stacks([(graphs[0], 1), (disjoint_union(graphs[:2]), 1)], KrylovParams())
 
 
+def test_plain_sums_solve_without_a_certificate_hook(monkeypatch):
+    # a plain sum keeps no error estimate, so its solves run without a hook
+    # (and their bytes are those of a recording solve); a run's earlier
+    # stacks still record their change, and its last stack stops on its own
+    hooks = []
+
+    def recorded(g, v, params, *, blocks, _certify=None):
+        hooks.append(_certify)
+        return expm_action(g, v, params, blocks=blocks, _certify=_certify)
+
+    monkeypatch.setattr(communicability, "_STACK_NODES", 250)
+    monkeypatch.setattr(communicability, "expm_action", recorded)
+    graphs = [generate(GraphGenSpec(model="er", n=100, avg_degree=4.0, seed=s)) for s in range(5)]
+    summed = summed_total_communicability(graphs)
+    total_communicability(graphs[0])
+    assert hooks == [None] * 4
+    hooks.clear()
+    stacks = [(disjoint_union(graphs[:2]), 2), (disjoint_union(graphs[2:4]), 2), (graphs[4], 1)]
+    parts = [communicability._solved(g, blocks, KrylovParams(), communicability._Change(blocks))[0] for g, blocks in stacks]
+    assert summed.scores.tobytes() == (parts[0] + parts[1] + parts[2]).tobytes()
+    hooks.clear()
+    communicability._certified_stacks(iter(stacks), KrylovParams(), k=10, backgrounds=5)
+    assert [type(hook) for hook in hooks] == [communicability._Change] * 2 + [communicability._Stop]
+
+
 # =====================================================================
 # The pipeline's certified top-k scores
 # =====================================================================

@@ -30,7 +30,7 @@ from communifind import (
     write_edge_list,
 )
 from communifind import graphs as graphs_module
-from communifind.rng import SeededRng
+from communifind.rng import SeededRng, geometric_gaps
 from conftest import mixed_model_spec, validate_graph
 
 
@@ -303,15 +303,23 @@ def test_er_block_refill_high_and_tiny_p(n, avg, seeds, monkeypatch):
     assert abs(float(np.mean(counts)) - total * p) <= 3 * sigma_mean
 
 
+def _counted_draws(monkeypatch) -> list:
+    # (rows, count) of every block of uniforms the ER generator draws
+    draws = []
+    uniforms = graphs_module.stacked_uniforms
+    monkeypatch.setattr(
+        graphs_module, "stacked_uniforms", lambda seeds, count: draws.append((len(seeds), count)) or uniforms(seeds, count)
+    )
+    return draws
+
+
 def test_er_first_block_reaches_the_last_pair(monkeypatch):
     # the margin of the first block makes a second draw of gaps rare
-    calls = []
-    skips = SeededRng.geometric_skips
-    monkeypatch.setattr(SeededRng, "geometric_skips", lambda self, p, count: calls.append(count) or skips(self, p, count))
+    draws = _counted_draws(monkeypatch)
     for seed in range(20):
-        calls.clear()
+        draws.clear()
         g = gen_erdos_renyi(GraphGenSpec(model="er", n=1024, avg_degree=2.0, seed=seed))
-        assert len(calls) == 1 and calls[0] > g.edge_count
+        assert len(draws) == 1 and draws[0][0] == 1 and draws[0][1] > g.edge_count
 
 
 def _searchsorted_decode(n: int, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -381,39 +389,58 @@ def test_stack_equals_union_of_per_seed_graphs(spec, stack):
 
 
 @pytest.mark.parametrize("n,avg,seeds", [(60, 0.9 * 59, 20), (2000, 0.004, 50)])
-def test_er_stack_short_rows_take_the_per_seed_path(n, avg, seeds, monkeypatch):
+def test_er_stack_short_rows_draw_twice_the_gaps(n, avg, seeds, monkeypatch):
     # the specs of the refill test, without margin: about half the rows of a
-    # stack end short of the last pair and are generated for their own seed
+    # stack end short of the last pair, and a stack with a short row draws
+    # again with twice the gaps, as often as it takes
     monkeypatch.setattr(graphs_module, "_er_block_margin", lambda mean: 0.0)
-    per_seed = []
-    er = graphs_module.gen_erdos_renyi
-    monkeypatch.setattr(graphs_module, "gen_erdos_renyi", lambda spec: per_seed.append(spec.seed) or er(spec))
     spec = GraphGenSpec(model="er", n=n, avg_degree=avg)
+    per_seed = [generate(dataclasses.replace(spec, seed=s)) for s in range(seeds)]
     p = avg / (n - 1)
     total = n * (n - 1) // 2
     first_block = math.ceil(total * p)
     # a row is short when its first block's last position falls before the last pair
-    last = [np.minimum(SeededRng(s).geometric_skips(p, first_block), total).sum() + first_block - 1 for s in range(seeds)]
-    short = [s for s in range(seeds) if last[s] < total]
-    assert 0 < len(short) < seeds
+    gaps = [geometric_gaps(SeededRng(s).uniforms(first_block), p) for s in range(seeds)]
+    short = [np.minimum(g, total).sum() + first_block - 1 < total for g in gaps]
+    assert 0 < sum(short) < seeds
+    draws = _counted_draws(monkeypatch)
+    monkeypatch.setattr(graphs_module, "gen_erdos_renyi", lambda spec: pytest.fail("per-seed ER graph built"))
     for first in range(0, seeds, 5):
         stack = list(range(first, first + 5))
+        draws.clear()
         got = generate(spec, stack)
-        _assert_same_bytes(got, disjoint_union([er(dataclasses.replace(spec, seed=s)) for s in stack]))
-    assert per_seed == short  # the short rows, and only they, took the per-seed path
+        _assert_same_bytes(got, disjoint_union([per_seed[s] for s in stack]))
+        for s in stack:
+            assert per_seed[s].edge_codes().tolist() == _er_reference(n, avg, s)
+        assert draws == [(5, first_block << i) for i in range(len(draws))]
+        assert (len(draws) > 1) == any(short[s] for s in stack)
 
 
 def test_er_stack_first_block_reaches_the_last_pair(monkeypatch):
-    # as for one graph, the margin makes a short row rare: 20 stacks of 8 at
-    # n=1024 take the stacked pass alone
-    per_seed = []
-    er = graphs_module.gen_erdos_renyi
-    monkeypatch.setattr(graphs_module, "gen_erdos_renyi", lambda spec: per_seed.append(spec) or er(spec))
+    # as for one graph, the margin makes a short row rare: none of 20 stacks
+    # of 8 at n=1024 draws twice
+    draws = _counted_draws(monkeypatch)
     spec = GraphGenSpec(model="er", n=1024, avg_degree=2.0)
     for stack in range(20):
         g = generate(spec, range(8 * stack, 8 * stack + 8))
         assert g.n == 8 * 1024 and g.edge_count > 0
-    assert per_seed == []
+    assert len(draws) == 20 and all(rows == 8 for rows, _ in draws)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GraphGenSpec(model="er", n=100, avg_degree=2.0),
+        GraphGenSpec(model="sw", n=100, k=4),
+        GraphGenSpec(model="ba", n=100, m=2),
+    ],
+    ids=["er", "sw", "ba"],
+)
+def test_empty_seed_list_is_an_error(spec):
+    with pytest.raises(ValueError, match="empty seed list"):
+        generate(spec, [])
+    with pytest.raises(ValueError, match="empty seed list"):
+        generate(spec, iter(()))
 
 
 def test_er_spec_validation():

@@ -188,9 +188,8 @@ def test_pipeline_builds_no_node_order_rows(monkeypatch):
 
 def test_pipeline_generates_er_stacks_in_one_pass(monkeypatch):
     # forty 1024-node hosts fill one stack and forty-one take two: each
-    # stack is one generate and one apply_embedding call; a stack of two or
-    # more hosts builds no per-seed ER graph and no union of graphs, and a
-    # one-host stack is its one ER graph (the union of one graph is itself)
+    # stack is one generate and one apply_embedding call, and no stack, not
+    # even the one-host stack, builds a per-seed ER graph or a union of graphs
     calls = []
 
     def counted(module, name):
@@ -205,10 +204,9 @@ def test_pipeline_generates_er_stacks_in_one_pass(monkeypatch):
         (identify, "apply_embedding"),
     ):
         counted(module, name)
-    one_host = ["disjoint_union", "gen_erdos_renyi"]
     for backgrounds, expected in (
         (40, ["apply_embedding", "generate"]),
-        (41, ["apply_embedding"] * 2 + one_host + ["generate"] * 2),
+        (41, ["apply_embedding"] * 2 + ["generate"] * 2),
     ):
         calls.clear()
         cfg = ExperimentConfig(

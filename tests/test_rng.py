@@ -68,7 +68,7 @@ def test_geometric_skips_are_the_shared_gap_expression():
     u = stacked_uniforms([5, 6], 300)
     gaps = geometric_gaps(u, p)
     assert gaps.dtype == np.int64 and gaps.shape == (2, 300)
-    assert gaps[1].tobytes() == SeededRng(6).geometric_skips(p, 300).tobytes()
+    assert gaps[1].tobytes() == geometric_gaps(SeededRng(6).uniforms(300), p).tobytes()
     assert gaps.tobytes() == geometric_gaps(u.ravel(), p).tobytes()  # elementwise, whatever the shape
     # a tiny p caps the counts instead of overflowing int64
     assert geometric_gaps(np.array([0.5, 1.0 - 2.0**-53]), 1e-300).tolist() == [2**62, 2**62]
@@ -136,7 +136,7 @@ def test_geometric_skip_matches_mean():
     # mean of the geometric(p) failure count is (1 - p) / p
     r = SeededRng(42)
     p = 0.2
-    draws = r.geometric_skips(p, 20000)
+    draws = geometric_gaps(r.uniforms(20000), p)
     assert draws.dtype == np.int64 and draws.size == 20000
     assert draws.min() >= 0
     assert abs(float(np.mean(draws)) - (1 - p) / p) < 0.1
@@ -145,7 +145,7 @@ def test_geometric_skip_matches_mean():
 def test_geometric_skips_reject_degenerate_p():
     for p in (0.0, 1.0):
         with pytest.raises(ValueError):
-            SeededRng(0).geometric_skips(p, 4)
+            geometric_gaps(SeededRng(0).uniforms(4), p)
 
 
 def test_derive_seed_changes_with_each_salt():
