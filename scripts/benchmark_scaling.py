@@ -11,16 +11,10 @@ quartiles (``median±IQR``), so a difference smaller than the spread is
 within the noise of the machine.
 
 A generation time covers ``generate(spec).indptr``: the generator and the
-graph's one CSR build.  A graph builds its CSR lazily, on first use, but
-generation timings taken before that change included the build, so the
-``gen`` columns stay comparable with them.  The CSR build is now the
-``tocsr()`` of :func:`communifind.graphs.adjacency`, no longer a radix sort
-of the codes, so ``gen`` columns from before that change are not directly
-comparable: on ER(avg 4) the build alone went from ~90 to ~190 us at
-n = 1000, from ~1.3 to ~0.8 ms at n = 10000 and from ~26 to ~12 ms at
-n = 100000 (medians of 40-300 calls, 2-vCPU VM).  Scoring reads no
-node-order CSR: its time includes the build of the coordinate form of A
-that every Krylov solve makes from the edge codes, with no sort.
+graph's one CSR build, the ``tocsr()`` of
+:func:`communifind.graphs.adjacency`.  Scoring reads no node-order CSR: its
+time includes the build of the coordinate form of A that every Krylov solve
+makes from the edge codes, with no sort.
 
 Usage:
     python scripts/benchmark_scaling.py [--sizes 1000,10000,100000] [--repeats 3]

@@ -295,7 +295,6 @@ def expm_action(
         if not np.isfinite(beta):
             raise NumericalBreakdownError("non-finite Lanczos coefficient")
         exact = beta <= 1e-12 * max(1.0, abs(alpha))
-        y = _expm_first_col(alphas[:s], betas[: s - 1])
         # screen: step / upper estimates the relative change of the whole
         # iterate, at most the largest relative change of a block.  Basis
         # vectors have unit norm, so |x_i| <= beta0 * ||y||_1 <= sqrt(s) * upper
@@ -303,9 +302,11 @@ def expm_action(
         # finite (sqrt(m) * 1e300 < 1.8e308 for any m below 1e16).
         # Comparisons with inf or nan are False, so a non-finite y forms x
         # and raises.  A y whose squares overflow makes upper inf on
-        # purpose, which forms the iterate: no warning is due
-        dy = y[:-1] - y_prev
+        # purpose, which forms the iterate, and a y whose exp overflows
+        # forms a non-finite iterate, which raises: no warning is due
         with np.errstate(over="ignore"):
+            y = _expm_first_col(alphas[:s], betas[: s - 1])
+            dy = y[:-1] - y_prev
             step = beta0 * math.sqrt(dy.dot(dy) + y[-1] ** 2)
             upper = beta0 * math.sqrt(y.dot(y))
         # plain: the screen of a solve without the hook forms this iterate

@@ -5,7 +5,7 @@ unweighted, with dense 0-based node labels.  A graph stores its edges as
 sorted canonical codes ``u * n + v`` (u < v): the generators emit them in
 that form, overlaying a target merges codes, and a disjoint union
 concatenates them.  :func:`generate` also builds a stack of graphs from
-several seeds as their disjoint union.  Every ER graph with 0 < p < 1, one
+several seeds as their disjoint union.  Every ER graph, of any p, one
 seed's or a stack's, comes from one vectorized pass (:func:`_er_stack`).
 
 :func:`adjacency` is the one place that turns the codes into the adjacency
@@ -333,29 +333,20 @@ class GraphGenSpec:
 def generate(spec: GraphGenSpec, seeds: Iterable[int] | None = None) -> Graph:
     """The graph of ``spec`` or, given ``seeds``, a stack of graphs of ``spec``.
 
-    ``generate(spec)`` dispatches to the generator selected by
-    ``spec.model``.  ``generate(spec, seeds)`` is the :func:`disjoint_union`
-    of ``generate(replace(spec, seed=s))`` over ``seeds``, byte for byte.  An
-    ER stack with 0 < p < 1, of any number of seeds, is generated in one
-    vectorized pass (:func:`_er_stack`); every other stack unions its
-    per-seed graphs.  An empty seed list is an error.
+    ``generate(spec)`` is ``generate(spec, [spec.seed])``, and
+    ``generate(spec, seeds)`` is the :func:`disjoint_union` of the graphs of
+    ``replace(spec, seed=s)`` over ``seeds``, byte for byte.  This is the one
+    dispatch on ``spec.model``: every ER graph or stack, of any p, is
+    generated in one vectorized pass (:func:`_er_stack`), and a BA or SW
+    stack unions its per-seed graphs.  An empty seed list is an error.
     """
-    if seeds is None:
-        return _generate_one(spec)
-    seeds = list(seeds)
+    seeds = [spec.seed] if seeds is None else list(seeds)
     if not seeds:
         raise ValueError("generate needs at least one seed, got an empty seed list")
-    if spec.model == "er" and 0.0 < spec.avg_degree / (spec.n - 1) < 1.0:
-        return _er_stack(spec, seeds)
-    return disjoint_union([_generate_one(dataclasses.replace(spec, seed=s)) for s in seeds])
-
-
-def _generate_one(spec: GraphGenSpec) -> Graph:
     if spec.model == "er":
-        return gen_erdos_renyi(spec)
-    if spec.model == "ba":
-        return gen_barabasi_albert(spec)
-    return gen_watts_strogatz(spec)
+        return _er_stack(spec, seeds)
+    gen = gen_barabasi_albert if spec.model == "ba" else gen_watts_strogatz
+    return disjoint_union([gen(dataclasses.replace(spec, seed=s)) for s in seeds])
 
 
 def _er_block_margin(mean: float) -> float:
@@ -400,58 +391,52 @@ def gen_erdos_renyi(spec: GraphGenSpec) -> Graph:
     """
     if spec.model != "er":
         raise ValueError("gen_erdos_renyi requires an 'er' spec")
-    n = spec.n
-    p = spec.avg_degree / (n - 1)
-    if p >= 1.0:
-        us, vs = np.triu_indices(n, k=1)
-        codes = us.astype(np.int64) * n + vs
-        return Graph._from_codes(n, codes)
-    if p <= 0.0:
-        return Graph._from_codes(n, np.empty(0, dtype=np.int64))
     return _er_stack(spec, [spec.seed])
 
 
 def _er_stack(spec: GraphGenSpec, seeds: list[int]) -> Graph:
-    """``generate(spec, seeds)`` for ER with 0 < p < 1, in one 2-D pass.
+    """``generate(spec, seeds)`` for ER, of any p, in one 2-D pass.
 
-    Row ``j`` of one ``(len(seeds), block)`` array of gaps holds the gaps of
-    ``seeds[j]``: its uniforms (:func:`~communifind.rng.stacked_uniforms`)
-    through :func:`~communifind.rng.geometric_gaps`, capped at the pair
-    count, whose cumulative sum along the row gives the positions of the
-    row's edges in the lexicographic enumeration of pairs.  The block holds
+    Row ``j`` of one ``(len(seeds), block)`` array holds the positions of
+    ``seeds[j]``'s edges in the lexicographic enumeration of pairs: none for
+    p <= 0, every pair for p >= 1.  Otherwise the row's uniforms
+    (:func:`~communifind.rng.stacked_uniforms`) go through
+    :func:`~communifind.rng.geometric_gaps`, capped at the pair count, and
+    their cumulative sum along the row gives the positions.  The block holds
     the expected number of successes plus :func:`_er_block_margin`, so it
-    almost always reaches the last pair; when some row ends short of it,
+    almost always reaches the last pair; while some row ends short of it,
     the stack draws again with twice the gaps, which extend every row's
     gaps at the same counters.  Positions past the last pair are discarded,
     so no graph depends on the block size or on the batching.  One
-    :func:`_decode_pairs` call decodes the pairs of every row, and block
-    ``j``'s codes are shifted by ``j * n`` nodes into the union's numbering.
+    :func:`_decode_pairs` call decodes the kept pairs of every row, and
+    block ``j``'s codes are shifted by ``j * n`` nodes into the union's
+    numbering.
     """
     n = spec.n
     p = spec.avg_degree / (n - 1)
     total = n * (n - 1) // 2
     size = len(seeds) * n
-    block = _er_first_block(total, p)
-    while True:
-        # in place: each fresh array of this size would cost its page faults
-        gaps = geometric_gaps(stacked_uniforms(seeds, block), p)
-        np.minimum(gaps, total, out=gaps)
-        gaps += 1
-        positions = np.cumsum(gaps, axis=1, out=gaps)
-        positions -= 1
-        # positions ascend along a row, so the kept ones are a prefix of it,
-        # all of it when the row ends short of the last pair
-        ends = [int(np.searchsorted(row, total)) for row in positions]
-        if max(ends) < block:
-            break
-        block *= 2
-    if len(seeds) == 1:
-        us, vs = _decode_pairs(n, positions[0, : ends[0]])
-        return Graph._from_codes(n, us * n + vs)  # lexicographic enumeration => already sorted
-    us, vs = _decode_pairs(n, np.concatenate([row[:end] for row, end in zip(positions, ends)]))
+    if p <= 0.0:
+        positions = np.empty((len(seeds), 0), dtype=np.int64)
+    elif p >= 1.0:
+        positions = np.broadcast_to(np.arange(total, dtype=np.int64), (len(seeds), total))
+    else:
+        block = _er_first_block(total, p)
+        while True:
+            # in place: each fresh array of this size would cost its page faults
+            gaps = geometric_gaps(stacked_uniforms(seeds, block), p)
+            np.minimum(gaps, total, out=gaps)
+            gaps += 1
+            positions = np.cumsum(gaps, axis=1, out=gaps)
+            positions -= 1
+            if positions[:, -1].min() >= total:
+                break
+            block *= 2
+    kept = positions < total
+    us, vs = _decode_pairs(n, positions[kept])  # row by row, so the codes ascend
     codes = us * size + vs
     # (u + o) * size + (v + o) for block offset o = j * n
-    codes += np.repeat(np.arange(0, size, n, dtype=np.int64) * (size + 1), ends)
+    codes += np.repeat(np.arange(0, size, n, dtype=np.int64) * (size + 1), kept.sum(axis=1))
     return Graph._from_codes(size, codes)
 
 

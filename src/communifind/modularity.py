@@ -16,6 +16,7 @@ with it, so the baseline has no node cap and no O(n^3) step.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -70,15 +71,17 @@ class ModularityMatrix:
 
 @dataclass(frozen=True)
 class FilterCoeffs:
-    """Blend weights over a window of realizations; must sum to one."""
+    """Blend weights over a window of realizations; finite, and must sum to one."""
 
     c: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if len(self.c) < 1:
             raise ValueError("need at least one coefficient")
+        if not all(math.isfinite(x) for x in self.c):
+            raise ValueError(f"coefficients must be finite, got {self.c!r}")
         total = sum(self.c)
-        if abs(total - 1.0) > _COEFF_SUM_TOL:
+        if not abs(total - 1.0) <= _COEFF_SUM_TOL:  # False for a NaN sum too
             raise ValueError(f"coefficients must sum to 1, got {total!r}")
 
     @staticmethod
@@ -154,7 +157,8 @@ def eigen_l1_scores(b: ModularityMatrix, r: int = 10) -> EigenScan:
     Eigenvector signs are arbitrary; the L1 norms, the seed node and the
     two-means distances do not depend on them.  ARPACK needs r < n, so
     r = n, reachable only on graphs of at most r nodes, forms B densely.
-    A scan that does not converge raises :class:`NumericalBreakdownError`.
+    A scan that ARPACK fails, by not converging or by any other ARPACK
+    error, raises :class:`NumericalBreakdownError`.
     """
     if not 1 <= r <= b.n:
         raise ValueError(f"r must lie in [1, {b.n}], got {r}")
@@ -162,15 +166,15 @@ def eigen_l1_scores(b: ModularityMatrix, r: int = 10) -> EigenScan:
         values, coords = np.linalg.eigh(b.to_dense())
     else:
         # imported on first use, so that importing the package does not pay for it
-        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+        from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
         op = LinearOperator((b.n, b.n), matvec=b.__matmul__, dtype=np.float64)
         # not the all-ones vector: B maps it to zero, an exact eigenvector
         v0 = SeededRng(_START_SEED).uniforms(b.n) - 0.5
         try:
             values, coords = eigsh(op, k=r, which="LA", v0=v0)
-        except ArpackNoConvergence as exc:
-            raise NumericalBreakdownError(f"eigenvector scan did not converge: {exc}") from exc
+        except ArpackError as exc:  # no convergence, or no Arnoldi factorization at all
+            raise NumericalBreakdownError(f"eigenvector scan failed: {exc}") from exc
     order = np.argsort(-values, kind="stable")  # descending eigenvalue order
     values, coords = values[order], coords[:, order]
     norms = np.abs(coords).sum(axis=0)

@@ -459,6 +459,15 @@ def test_baseline_coeffs_length_checked(tmp_path, capsys):
     assert "coeffs" in capsys.readouterr().err
 
 
+def test_baseline_non_finite_coeffs_are_config_errors(tmp_path, capsys):
+    cfg = _write_config(tmp_path, BASELINE_CONFIG + "coeffs = nan,1\n", name="base.cfg")
+    out_dir = tmp_path / "out"
+    rc = main(["baseline", str(cfg), "--out-dir", str(out_dir)])
+    assert rc == 2
+    assert "coeffs" in capsys.readouterr().err
+    assert not (out_dir / "base.modularity.json").exists()
+
+
 def test_argparse_usage_error():
     with pytest.raises(SystemExit) as exc_info:
         main(["generate", "--model", "zz", "--nodes", "10", "--seed", "0", "--out", "x"])

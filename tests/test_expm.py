@@ -277,7 +277,6 @@ def test_converged_solves_flagged():
 # =====================================================================
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
 def test_overflow_raises_breakdown():
     # exp(759) overflows: the exact one-step answer is not representable
     with pytest.raises(NumericalBreakdownError):

@@ -240,6 +240,25 @@ def test_er_extremes():
     assert full.edge_count == 36
 
 
+@pytest.mark.parametrize("n", [2, 3, 17, 40])
+def test_er_extremes_equal_closed_forms(n):
+    # references built here, not by the generator: no pair at avg 0, and
+    # every pair in np.triu_indices order at avg n - 1, block j of a stack
+    # shifted by j * n nodes
+    us, vs = np.triu_indices(n, k=1)
+    for avg, pairs in ((0.0, (us[:0], vs[:0])), (n - 1.0, (us, vs))):
+        spec = GraphGenSpec(model="er", n=n, avg_degree=avg)
+        for seed in (0, 5, 2**64 - 1):
+            g = generate(dataclasses.replace(spec, seed=seed))
+            assert g.n == n and g.edge_codes().tobytes() == (pairs[0].astype(np.int64) * n + pairs[1]).tobytes()
+        for stack in (1, 2, 5):
+            size = stack * n
+            seeds = [(2**64 - 2 + 3 * j) & 0xFFFFFFFFFFFFFFFF for j in range(stack)]
+            want = np.concatenate([(pairs[0] + o).astype(np.int64) * size + (pairs[1] + o) for o in range(0, size, n)])
+            g = generate(spec, seeds)
+            assert g.n == size and g.edge_codes().tobytes() == want.tobytes()
+
+
 def test_er_deterministic_per_seed():
     spec = GraphGenSpec(model="er", n=200, avg_degree=3.0, seed=77)
     assert gen_erdos_renyi(spec) == gen_erdos_renyi(spec)

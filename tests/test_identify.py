@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -427,10 +428,28 @@ def test_worker_pool_reraises_run_errors():
     # exp(A) of a near-complete graph on 720 nodes overflows in every run
     cfg = _small_cfg(background=GraphGenSpec(model="er", n=720, avg_degree=719.0), target=clique(2), runs=2)
     for jobs in (1, 2):
-        with pytest.raises(NumericalBreakdownError), np.errstate(over="ignore"):
+        with pytest.raises(NumericalBreakdownError):
             run_pipeline(cfg, jobs=jobs)
     # the pool survives a failed batch
     assert _same_runs(run_pipeline(_small_cfg(), jobs=2), run_pipeline(_small_cfg()))
+
+
+def test_overflowing_run_raises_without_runtime_warning(capfd):
+    # the overflow of exp in the projected matrix is expected: it raises
+    # NumericalBreakdownError, and no RuntimeWarning comes before it, here
+    # or in a worker.  Fresh workers fork under the error filter; where they
+    # would not inherit it, a warning they print still reaches stderr
+    cfg = _small_cfg(background=GraphGenSpec(model="er", n=720, avg_degree=719.0), target=clique(2), runs=2)
+    identify._drop_pool()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for jobs in (1, 2):
+                with pytest.raises(NumericalBreakdownError):
+                    run_pipeline(cfg, jobs=jobs)
+    finally:
+        identify._drop_pool()
+    assert "RuntimeWarning" not in capfd.readouterr().err
 
 
 def test_unconverged_run_raises_at_any_jobs():

@@ -101,6 +101,13 @@ def test_coeffs_must_sum_to_one():
         FilterCoeffs(c=())
 
 
+@pytest.mark.parametrize("c", [(float("nan"), 1.0), (float("inf"), float("-inf")), (float("nan"),), (1.0, 0.0, float("inf"))])
+def test_coeffs_must_be_finite(c):
+    # a NaN sum compares False against any tolerance, so it must fail the test
+    with pytest.raises(ValueError, match="finite"):
+        FilterCoeffs(c=c)
+
+
 def test_uniform_coeffs():
     u = FilterCoeffs.uniform(4)
     assert len(u) == 4
@@ -177,6 +184,15 @@ def test_scan_eigenvalues_descend():
     assert scan.norms.shape == (8,)
     assert 0 <= scan.flagged_index < 8
     assert 0 <= scan.seed_node < 100
+
+
+def test_scan_arpack_failure_is_numerical_breakdown():
+    # a NaN weight makes every product NaN: ARPACK cannot even build its
+    # Arnoldi factorization, which is an ArpackError but not a no-convergence
+    g = generate(GraphGenSpec(model="er", n=100, avg_degree=5.0, seed=7))
+    b = replace(modularity_matrix(g), weights=np.array([np.nan]))
+    with pytest.raises(NumericalBreakdownError, match="eigenvector scan failed"):
+        eigen_l1_scores(b, r=5)
 
 
 def test_scan_r_bounds():
