@@ -31,7 +31,8 @@ iterates (Saad's iterate-change estimate, SIAM J. Numer. Anal. 1992).  That
 estimate is not a bound, so a certified set is the one the scores at
 ``params.tol`` give only as far as it holds.  A last stack that never
 certifies ends at ``params.tol`` as a solve without the hook does, so the
-run's scores are those at ``params.tol``.
+run's scores are those at ``params.tol``, the bytes
+:func:`summed_total_communicability` gives over the same stacks.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal, Sequence, TextIO
+from typing import Iterable, Literal, Sequence, TextIO
 
 import numpy as np
 
@@ -170,9 +171,10 @@ def summed_total_communicability(
     exp of the block-diagonal matrix of the graphs acts on each block alone,
     so the blocks of exp(blockdiag(A_1..A_N)) 1 are the per-graph row sums.
     The graphs are consumed lazily, in stacks of up to
-    :func:`hosts_per_stack` graphs, and one Krylov solve on the :func:`disjoint_union` of a stack
-    scores all of its graphs; no graph of a stack is drawn before the solve
-    of the previous stack.  ``tol`` must hold on every block, so each graph's
+    :func:`hosts_per_stack` graphs, and one Krylov solve, with no
+    certificate hook, on the :func:`disjoint_union` of a stack scores all of
+    its graphs; no graph of a stack is drawn before the solve of the
+    previous stack.  ``tol`` must hold on every block, so each graph's
     scores converge as in its own solve; an input spanning several stacks
     therefore agrees within ``tol`` with one solve over all of it, not bit
     for bit.  Rounding in the shared projection is relative to the largest
@@ -186,37 +188,15 @@ def summed_total_communicability(
     if first is None:
         raise ValueError("summed_total_communicability needs at least one graph")
     per_stack = hosts_per_stack(first.n)
-
-    def stacks() -> Iterator[tuple[Graph, int]]:
-        stack = [first, *itertools.islice(graphs, per_stack - 1)]
-        while stack:
-            if any(g.n != first.n for g in stack):
-                raise ValueError("all graphs must have the same node count")
-            yield disjoint_union(stack), len(stack)
-            stack = list(itertools.islice(graphs, per_stack))
-
-    return _summed_stacks(stacks(), params)
-
-
-def _summed_stacks(stacks: Iterable[tuple[Graph, int]], params: KrylovParams) -> ScoreVector:
-    """:func:`summed_total_communicability` of stacks given as ``(union, blocks)``.
-
-    Each union holds ``blocks`` equal graphs of the same node count, numbered
-    one after another; it gets one Krylov solve, with no certificate hook,
-    and its blocks are summed in order.
-    """
-    scores = None
+    scores = np.zeros(first.n)
     count = 0
-    for union, blocks in stacks:
-        part = _solved(union, blocks, params)[0]
-        if scores is None:
-            scores = np.zeros(part.size)
-        elif part.size != scores.size:
+    stack = [first, *itertools.islice(graphs, per_stack - 1)]
+    while stack:
+        if any(g.n != first.n for g in stack):
             raise ValueError("all graphs must have the same node count")
-        scores += part
-        count += blocks
-    if scores is None:
-        raise ValueError("summed_total_communicability needs at least one graph")
+        scores += _solved(disjoint_union(stack), len(stack), params)[0]
+        count += len(stack)
+        stack = list(itertools.islice(graphs, per_stack))
     return ScoreVector(scores, "tc_sum", count)
 
 
@@ -302,7 +282,8 @@ def _certified_stacks(
     which ends the solve at the first iterate that certifies the sum: err
     adds, over the stacks, the entrywise change of each stack's summed
     blocks between its last two iterates.  A run that never certifies keeps
-    the scores at ``params.tol``, :func:`_summed_stacks`' bytes.  The margin
+    the scores at ``params.tol``: the bytes of
+    :func:`summed_total_communicability` over the same stacks.  The margin
     is that of the scores returned.
     """
     scores = None

@@ -50,6 +50,9 @@ __all__ = [
 
 Model = Literal["er", "ba", "sw"]
 
+# The largest node count whose edge codes u * n + v (< n * n) fit in int64.
+_MAX_NODES = math.isqrt(2**63 - 1)
+
 
 # =====================================================================
 # Graph container
@@ -112,6 +115,7 @@ class Graph:
         """
         if n < 0:
             raise ValueError("node count must be nonnegative")
+        _check_codes_fit(n)
         codes = np.ascontiguousarray(codes, dtype=np.int64)
         codes.flags.writeable = False
         return Graph(n, codes)
@@ -211,6 +215,12 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
+def _check_codes_fit(n: int) -> None:
+    """Reject a node count whose edge codes ``u * n + v`` cannot fit in int64."""
+    if n > _MAX_NODES:
+        raise ValueError(f"edge codes u * n + v need n <= {_MAX_NODES} to fit in int64, got n={n}")
+
+
 def adjacency(g: Graph) -> scipy.sparse.coo_matrix:
     """The adjacency matrix A of ``g`` in coordinate form, built from the codes with no sort.
 
@@ -285,7 +295,9 @@ class GraphGenSpec:
     Exactly one family parameter must be set for the chosen model:
     ``avg_degree`` for Erdős–Rényi ("er"), ``m`` for preferential attachment
     ("ba"), ``k`` for the rewired ring lattice ("sw", with rewiring
-    probability ``beta``).
+    probability ``beta``).  Only "sw" reads ``beta``, but every model
+    carries it into reports, so it must lie in [0, 1] for every model.
+    ``n`` is bounded by the int64 edge codes (:data:`_MAX_NODES`).
     """
 
     model: Model
@@ -301,6 +313,9 @@ class GraphGenSpec:
             raise ValueError(f"unknown model {self.model!r}")
         if self.n < 2:
             raise ValueError(f"need n >= 2, got n={self.n}")
+        _check_codes_fit(self.n)
+        if not 0.0 <= self.beta <= 1.0:
+            raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
         if self.model == "er":
             if self.avg_degree is None or self.m is not None or self.k is not None:
                 raise ValueError("model 'er' takes avg_degree only")
@@ -316,8 +331,6 @@ class GraphGenSpec:
                 raise ValueError("model 'sw' takes k (and optional beta) only")
             if self.k % 2 != 0 or not 2 <= self.k < self.n:
                 raise ValueError(f"k must be even with 2 <= k < n, got {self.k}")
-            if not 0.0 <= self.beta <= 1.0:
-                raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
 
     def nominal_mean_degree(self) -> float:
         """Mean degree implied by the parameters (exact for 'ba' and 'sw')."""
@@ -343,6 +356,7 @@ def generate(spec: GraphGenSpec, seeds: Iterable[int] | None = None) -> Graph:
     seeds = [spec.seed] if seeds is None else list(seeds)
     if not seeds:
         raise ValueError("generate needs at least one seed, got an empty seed list")
+    _check_codes_fit(len(seeds) * spec.n)
     if spec.model == "er":
         return _er_stack(spec, seeds)
     gen = gen_barabasi_albert if spec.model == "ba" else gen_watts_strogatz
@@ -406,8 +420,9 @@ def _er_stack(spec: GraphGenSpec, seeds: list[int]) -> Graph:
     the expected number of successes plus :func:`_er_block_margin`, so it
     almost always reaches the last pair; while some row ends short of it,
     the stack draws again with twice the gaps, which extend every row's
-    gaps at the same counters.  Positions past the last pair are discarded,
-    so no graph depends on the block size or on the batching.  One
+    gaps at the same counters.  Each row keeps its positions before its
+    first one past the last pair (the sums after that one may overflow), so
+    no graph depends on the block size or on the batching.  One
     :func:`_decode_pairs` call decodes the kept pairs of every row, and
     block ``j``'s codes are shifted by ``j * n`` nodes into the union's
     numbering.
@@ -415,11 +430,14 @@ def _er_stack(spec: GraphGenSpec, seeds: list[int]) -> Graph:
     n = spec.n
     p = spec.avg_degree / (n - 1)
     total = n * (n - 1) // 2
-    size = len(seeds) * n
+    rows = len(seeds)
+    size = rows * n
     if p <= 0.0:
-        positions = np.empty((len(seeds), 0), dtype=np.int64)
+        positions = np.empty((rows, 0), dtype=np.int64)
+        ends = np.zeros(rows, dtype=np.int64)
     elif p >= 1.0:
-        positions = np.broadcast_to(np.arange(total, dtype=np.int64), (len(seeds), total))
+        positions = np.broadcast_to(np.arange(total, dtype=np.int64), (rows, total))
+        ends = np.full(rows, total, dtype=np.int64)
     else:
         block = _er_first_block(total, p)
         while True:
@@ -429,14 +447,18 @@ def _er_stack(spec: GraphGenSpec, seeds: list[int]) -> Graph:
             gaps += 1
             positions = np.cumsum(gaps, axis=1, out=gaps)
             positions -= 1
-            if positions[:, -1].min() >= total:
+            # a row's first position past the last pair is at most
+            # 2 * total < n * n, so exact; the sums after it may wrap around
+            crossed = positions >= total
+            ends = crossed.argmax(axis=1)
+            if crossed[np.arange(rows), ends].all():
                 break
             block *= 2
-    kept = positions < total
+    kept = np.arange(positions.shape[1]) < ends[:, None]
     us, vs = _decode_pairs(n, positions[kept])  # row by row, so the codes ascend
     codes = us * size + vs
     # (u + o) * size + (v + o) for block offset o = j * n
-    codes += np.repeat(np.arange(0, size, n, dtype=np.int64) * (size + 1), kept.sum(axis=1))
+    codes += np.repeat(np.arange(0, size, n, dtype=np.int64) * (size + 1), ends)
     return Graph._from_codes(size, codes)
 
 

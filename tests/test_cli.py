@@ -138,6 +138,15 @@ def test_generate_wrong_parameter_combo(tmp_path, capsys):
     assert "avg-degree" in capsys.readouterr().err
 
 
+def test_generate_rejects_beta_outside_unit_interval_for_every_model(tmp_path, capsys):
+    # only sw rewires, but every model carries beta
+    out = tmp_path / "g.txt"
+    rc = main(["generate", "--model", "ba", "--nodes", "50", "--m", "2", "--beta", "inf", "--seed", "0", "--out", str(out)])
+    assert rc == 2
+    assert "beta" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_unwritable_path(tmp_path, capsys):
     rc = main(
         ["generate", "--model", "er", "--nodes", "50", "--avg-degree", "2.0",
@@ -407,6 +416,16 @@ def test_experiment_rejects_infinite_tol(tmp_path, capsys):
     rc = main(["experiment", str(cfg), "--out-dir", str(out_dir)])
     assert rc == 2
     assert "tol" in capsys.readouterr().err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+def test_experiment_rejects_nan_beta_for_er(tmp_path, capsys):
+    # a NaN beta would reach the report as NaN, which is not JSON
+    cfg = _write_config(tmp_path, EXPERIMENT_CONFIG + "beta = nan\n")
+    out_dir = tmp_path / "out"
+    rc = main(["experiment", str(cfg), "--out-dir", str(out_dir)])
+    assert rc == 2
+    assert "beta" in capsys.readouterr().err
     assert not out_dir.exists() or not any(out_dir.iterdir())
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import io
 import math
@@ -226,13 +227,14 @@ def test_given_stacks_score_as_the_graphs_they_union():
     seeds = list(range(per_stack + 3))
     graphs = [generate(GraphGenSpec(model="er", n=1024, avg_degree=2.0, seed=s)) for s in seeds]
     stacks = [(generate(spec, seeds[:per_stack]), per_stack), (generate(spec, seeds[per_stack:]), 3)]
-    summed = communicability._summed_stacks(iter(stacks), KrylovParams())
+    parts = [communicability._solved(union, blocks, KrylovParams())[0] for union, blocks in stacks]
+    summed = summed_total_communicability(graphs)
     assert summed.num_backgrounds == per_stack + 3
-    assert summed.scores.tobytes() == summed_total_communicability(graphs).scores.tobytes()
+    assert summed.scores.tobytes() == (parts[0] + parts[1]).tobytes()
     with pytest.raises(ValueError, match="at least one graph"):
-        communicability._summed_stacks(iter([]), KrylovParams())
+        summed_total_communicability(iter([]))
     with pytest.raises(ValueError, match="same node count"):
-        communicability._summed_stacks([(graphs[0], 1), (disjoint_union(graphs[:2]), 1)], KrylovParams())
+        summed_total_communicability([graphs[0], disjoint_union(graphs[:2])])
 
 
 def test_plain_sums_solve_without_a_certificate_hook(monkeypatch):
@@ -309,7 +311,7 @@ def test_certified_run_solves_each_stack_once(monkeypatch):
     assert got.margin > 1.0
     assert results[-1].certified and results[-1].converged and results[-1].est_error > params.tol
     assert got.scores.num_backgrounds == 5
-    exact = communicability._summed_stacks(iter(stacks), params)
+    exact = summed_total_communicability([generate(dataclasses.replace(spec, seed=s)) for s in range(1, 6)], params)
     assert np.array_equal(top_k(got.scores, 20), top_k(exact, 20))
 
 
@@ -353,7 +355,8 @@ def test_exact_tie_keeps_the_scores_at_tol(monkeypatch):
     got = communicability._certified_stacks(_drawn(stacks, events), params, k=3, backgrounds=3)
     assert events == [("draw", 0), ("solve", params.tol), ("draw", 1), ("stop", params.tol)]
     assert got.margin == 0.0
-    assert got.scores.scores.tobytes() == communicability._summed_stacks(iter(stacks), params).scores.tobytes()
+    monkeypatch.setattr(communicability, "_STACK_NODES", 2 * cycle.n)  # the same stacks, of 2 and 1
+    assert got.scores.scores.tobytes() == summed_total_communicability([cycle] * 3, params).scores.tobytes()
     assert top_k(got.scores, 3).tolist() == [0, 1, 2]
 
 
@@ -365,7 +368,7 @@ def test_single_stack_tie_solves_once(monkeypatch):
     got = communicability._certified_stacks(_drawn([(_cycle(), 1)], events), params, k=3, backgrounds=1)
     assert events == [("draw", 0), ("stop", params.tol)]
     assert got.margin == 0.0
-    assert got.scores.scores.tobytes() == communicability._summed_stacks([(_cycle(), 1)], params).scores.tobytes()
+    assert got.scores.scores.tobytes() == summed_total_communicability([_cycle()], params).scores.tobytes()
 
 
 def test_uncertified_run_solves_each_stack_once(monkeypatch):
@@ -382,7 +385,8 @@ def test_uncertified_run_solves_each_stack_once(monkeypatch):
     assert events == [("draw", 0), ("solve", params.tol), ("draw", 1), ("stop", params.tol)]
     assert not results[1].certified and 0.0 < results[1].est_error <= params.tol
     assert got.margin == 0.0
-    assert got.scores.scores.tobytes() == communicability._summed_stacks(iter(stacks), params).scores.tobytes()
+    monkeypatch.setattr(communicability, "_STACK_NODES", twins.n)  # the same stacks, of one each
+    assert got.scores.scores.tobytes() == summed_total_communicability([twins, twins], params).scores.tobytes()
 
 
 def _projected_changes(monkeypatch) -> dict:
@@ -468,7 +472,7 @@ def test_loose_user_tol_makes_one_pass(monkeypatch, tol):
         _recording_solves(monkeypatch, events)
         got = communicability._certified_stacks(_drawn([(graph, 1)], events), params, k=k, backgrounds=1)
         assert events == [("draw", 0), ("stop", tol)]
-        at_tol = communicability._summed_stacks([(graph, 1)], params)
+        at_tol = summed_total_communicability([graph], params)
         assert np.array_equal(top_k(got.scores, k), top_k(at_tol, k))
     assert got.margin > 1.0
 

@@ -462,6 +462,53 @@ def test_empty_seed_list_is_an_error(spec):
         generate(spec, iter(()))
 
 
+@pytest.mark.parametrize("n,avg", [(1_500_000_000, 2e-9), (2_000_000_000, 1e-8), (3_000_000_000, 2e-9)])
+def test_er_at_tiny_p_keeps_only_pairs_before_the_last(n, avg):
+    # each gap is capped at the pair count, so a row's running sums past
+    # the last pair can pass 2**63 and wrap negative; none of them may
+    # become an edge, and none may end the draw early or late
+    spec = GraphGenSpec(model="er", n=n, avg_degree=avg)
+    edges = 0
+    for seed in range(20):
+        codes = generate(dataclasses.replace(spec, seed=seed)).edge_codes()
+        us, vs = np.divmod(codes, n)
+        assert np.all(np.diff(codes) > 0) and np.all(0 <= us) and np.all(us < vs) and np.all(vs < n)
+        edges += codes.size
+    mean = 20 * n * avg / 2
+    assert abs(edges - mean) <= 6 * math.sqrt(mean) + 1
+
+
+def test_node_counts_whose_codes_overflow_int64_are_rejected():
+    big = graphs_module._MAX_NODES
+    assert big * big <= 2**63 - 1 < (big + 1) ** 2
+    spec = GraphGenSpec(model="er", n=big, avg_degree=0.0)
+    assert generate(spec).n == big
+    with pytest.raises(ValueError, match="int64"):
+        GraphGenSpec(model="er", n=big + 1, avg_degree=2e-9)
+    # a stack of len(seeds) * n nodes must fit too
+    half = GraphGenSpec(model="er", n=big // 2, avg_degree=2e-9)
+    _assert_same_bytes(generate(half, [1, 2]), _per_seed_union(half, [1, 2]))
+    with pytest.raises(ValueError, match="int64"):
+        generate(half, [1, 2, 3])
+    with pytest.raises(ValueError, match="int64"):
+        Graph._from_codes(big + 1, np.empty(0, dtype=np.int64))
+    with pytest.raises(ValueError, match="int64"):
+        Graph.from_pairs(big + 1, [])
+
+
+@pytest.mark.parametrize(
+    "model, params",
+    [("er", dict(avg_degree=2.0)), ("ba", dict(m=2)), ("sw", dict(k=4))],
+)
+@pytest.mark.parametrize("beta", [-0.1, 1.5, math.nan, math.inf])
+def test_beta_outside_unit_interval_is_rejected_for_every_model(model, params, beta):
+    # every spec carries beta into reports, whether or not its model reads it
+    with pytest.raises(ValueError, match="beta"):
+        GraphGenSpec(model=model, n=10, beta=beta, **params)
+    for ok in (0.0, 1.0):
+        assert GraphGenSpec(model=model, n=10, beta=ok, **params).beta == ok
+
+
 def test_er_spec_validation():
     with pytest.raises(ValueError):
         GraphGenSpec(model="er", n=10, avg_degree=9.5)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import time
 import warnings
 
@@ -434,6 +435,23 @@ def test_worker_pool_reraises_run_errors():
     assert _same_runs(run_pipeline(_small_cfg(), jobs=2), run_pipeline(_small_cfg()))
 
 
+def _exit_worker(stacks):
+    # a score that kills the worker process it runs in
+    os._exit(3)
+
+
+def test_dead_worker_drops_the_pool():
+    # a worker that dies breaks the pool: the call raises, the pool is
+    # dropped, and the next call starts a fresh one that matches serial runs
+    from concurrent.futures.process import BrokenProcessPool
+
+    cfg = _small_cfg(runs=4)
+    with pytest.raises(BrokenProcessPool):
+        identify._map_runs(cfg, 2, score=_exit_worker, select=top_k, stacked=True)
+    assert identify._pool is None
+    assert _same_runs(run_pipeline(cfg, jobs=2), run_pipeline(cfg, jobs=1))
+
+
 def test_overflowing_run_raises_without_runtime_warning(capfd):
     # the overflow of exp in the projected matrix is expected: it raises
     # NumericalBreakdownError, and no RuntimeWarning comes before it, here
@@ -484,10 +502,16 @@ def test_certified_candidates_are_those_at_tol(row):
         background=background, target=target, num_backgrounds=num_backgrounds, runs=50, base_seed=11_000_000, k=20
     )
     results = run_pipeline(cfg)
-    per_stack = communicability.hosts_per_stack(1024)
     for i, r in enumerate(results):
-        hosts = identify._hosts(cfg, i, r.embedding, identify.PhaseSeconds(), per_stack)
-        at_tol = communicability._summed_stacks(hosts, cfg.krylov)
+        # the hosts built one at a time through the public API, not by the
+        # pipeline's stacker
+        hosts = [
+            apply_embedding(
+                generate(dataclasses.replace(background, seed=background_seed(cfg.base_seed, i, b))), target, r.embedding
+            )
+            for b in range(num_backgrounds)
+        ]
+        at_tol = summed_total_communicability(hosts, cfg.krylov)
         assert np.array_equal(r.candidates, top_k(at_tol, 20))
     # most runs are certified
     assert sum(r.margin <= 1.0 for r in results) < cfg.runs // 2
