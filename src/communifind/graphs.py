@@ -2,11 +2,13 @@
 
 Graphs are simple (no self-loops, no duplicate edges), undirected and
 unweighted, with dense 0-based node labels.  A graph stores its edges as
-sorted canonical codes ``u * n + v`` (u < v): the generators emit them in
-that form, overlaying a target merges codes, and a disjoint union
-concatenates them.  :func:`generate` also builds a stack of graphs from
-several seeds as their disjoint union.  Every ER graph, of any p, one
-seed's or a stack's, comes from one vectorized pass (:func:`_er_stack`).
+sorted canonical codes ``u * n + v`` (u < v), and this module is the only
+one that encodes, decodes or re-bases them: the generators emit them in
+that form, a disjoint union concatenates them, :meth:`Graph._overlay`
+merges endpoint pairs into every part of a stack, and :func:`_split` is the
+one decoder.  :func:`generate` also builds a stack of graphs from several
+seeds as their disjoint union.  Every ER graph, of any p, one seed's or a
+stack's, comes from one vectorized pass (:func:`_er_stack`).
 
 :func:`adjacency` is the one place that turns the codes into the adjacency
 matrix A, in coordinate form with no sort.  A Krylov solve multiplies by it
@@ -120,15 +122,18 @@ class Graph:
         codes.flags.writeable = False
         return Graph(n, codes)
 
-    def _insert_codes(self, codes: np.ndarray) -> "Graph":
-        """This graph plus the edges with canonical codes ``codes``; present edges merge.
+    def _overlay(self, us: np.ndarray, vs: np.ndarray, blocks: int) -> "Graph":
+        """This graph plus the edges ``(us[i], vs[i])`` in each of its ``blocks`` equal parts.
 
-        The new codes, sorted and deduplicated, go into the graph's ascending
-        codes at binary-searched positions: O(E) copying, no sort of the
-        graph's edges and no CSR.
+        Endpoints are labels within a part, and present edges merge.  The new
+        codes, sorted and deduplicated, go into the graph's ascending codes at
+        binary-searched positions: O(E) copying, no sort and no CSR.
         """
+        offsets = np.arange(blocks, dtype=np.int64)[:, None] * (self.n // blocks)
+        lo = np.minimum(us, vs) + offsets
+        hi = np.maximum(us, vs) + offsets
         old = self._codes
-        new = np.unique(np.asarray(codes, dtype=np.int64))
+        new = np.unique(lo * np.int64(self.n) + hi)
         at = np.searchsorted(old, new)
         fresh = old.take(at, mode="clip") != new if old.size else np.ones(new.size, dtype=bool)
         return Graph._from_codes(self.n, np.insert(old, at[fresh], new[fresh]))
@@ -192,7 +197,7 @@ class Graph:
 
     def edge_pairs(self) -> np.ndarray:
         """All undirected edges as an (E, 2) array with u < v, lexicographic."""
-        return np.column_stack(np.divmod(self._codes, self.n))
+        return np.column_stack(_split(self._codes, self.n))
 
     def to_dense(self) -> np.ndarray:
         """Dense float adjacency matrix."""
@@ -215,6 +220,13 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
+def _split(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints ``(us, vs)`` of the canonical codes ``u * n + v``; the
+    subtraction takes half the time of a divmod."""
+    us = codes // n
+    return us, codes - us * n
+
+
 def _check_codes_fit(n: int) -> None:
     """Reject a node count whose edge codes ``u * n + v`` cannot fit in int64."""
     if n > _MAX_NODES:
@@ -233,9 +245,7 @@ def adjacency(g: Graph) -> scipy.sparse.coo_matrix:
     stable counting sort by row, so it yields the sorted rows themselves.
     """
     n = g.n
-    codes = g.edge_codes()
-    us = codes // n  # with the subtraction, half the time of np.divmod
-    vs = codes - us * n
+    us, vs = _split(g.edge_codes(), n)
     # int32 below 2**31 nodes: given int64, scipy would cast them itself, at
     # twice the build time
     index = scipy.sparse.get_index_dtype(maxval=n)
@@ -259,7 +269,7 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
     total = np.int64(node_offsets[-1])
     parts = []
     for g, off in zip(graphs, node_offsets):
-        us, vs = np.divmod(g.edge_codes(), g.n)
+        us, vs = _split(g.edge_codes(), g.n)
         parts.append((us + off) * total + (vs + off))
     return Graph._from_codes(int(total), np.concatenate(parts))
 
@@ -515,25 +525,32 @@ def gen_watts_strogatz(spec: GraphGenSpec) -> Graph:
     chosen edges are rewired in a loop.  A pair is adjacent when it is a
     lattice pair not yet removed, or a pair added by rewiring, so no
     adjacency sets are kept.  The loop reads its endpoints ``int(x * n)``
-    from uniforms ``x`` drawn ``_FEED_BLOCK`` at a time.
+    from uniforms ``x`` drawn ``_FEED_BLOCK`` at a time.  The chosen edges'
+    codes leave the cached lattice codes by binary search, and the added
+    ones, with any chosen edge that stays, are merged in.
     """
     if spec.model != "sw":
         raise ValueError("gen_watts_strogatz requires an 'sw' spec")
     n, k, beta = spec.n, spec.k, spec.beta
     half = k // 2
-    near, far, lattice, position = _ring_lattice(n, k)
-    rewired: list[int] = []
+    lattice = _ring_lattice(n, k)
+    removed: set[int] = set()
     added: set[int] = set()
+    gone = np.empty(0, dtype=np.int64)
     if beta > 0.0:
         rng = SeededRng(spec.seed)
         chosen = np.flatnonzero(rng.uniforms(n * half) < beta)
+        near = chosen % n
+        far = (chosen + chosen // n + 1) % n
+        gone = np.minimum(near, far) * n + np.maximum(near, far)
         ends: list[int] = []  # pre-drawn endpoints, read from ends[at] on
         at = 0
-        removed: set[int] = set()
         degree = [k] * n
-        for j, u, old in zip(chosen.tolist(), near[chosen].tolist(), far[chosen].tolist()):
+        for u, old, pair in zip(near.tolist(), far.tolist(), gone.tolist()):
             if degree[u] >= n - 1:
-                continue  # no valid endpoint to rewire to
+                # no valid endpoint: the pair stays, adjacent, so no draw accepts it either way
+                added.add(pair)
+                continue
             while True:
                 if at == len(ends):
                     ends = (rng.uniforms(_FEED_BLOCK) * n).astype(np.int64).tolist()
@@ -548,39 +565,27 @@ def gen_watts_strogatz(spec: GraphGenSpec) -> Graph:
                 # ring distance or a removed lattice pair, and not added
                 if (dist > half and n - dist > half or code in removed) and code not in added:
                     break
-            removed.add(u * n + old if u < old else old * n + u)
-            rewired.append(j)
+            removed.add(pair)
             degree[old] -= 1
             degree[w] += 1
             added.add(code)
-    # the kept lattice codes are ascending already; the few added ones (not
-    # adjacent when drawn, so none of them is kept) are merged in
-    keep = np.ones(lattice.size, dtype=bool)
-    keep[position[rewired]] = False
-    kept = lattice[keep]
+    # the kept lattice codes are ascending already (and sorted needles search
+    # ~1/3 faster); the added ones, none of them kept, are merged in
+    kept = np.delete(lattice, np.searchsorted(lattice, np.sort(gone)))
     new = np.sort(np.fromiter(added, dtype=np.int64, count=len(added)))
     return Graph._from_codes(n, np.insert(kept, np.searchsorted(kept, new), new))
 
 
 @functools.lru_cache(maxsize=8)
-def _ring_lattice(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The ring lattice of :func:`gen_watts_strogatz`, cached per ``(n, k)``, read-only.
-
-    Returns the near and far ends of each lattice edge ``j`` (``j % n`` and
-    ``j % n + j // n + 1``, mod n), the lattice's edge codes in ascending
-    order, and each edge's position among them.
-    """
-    half = k // 2
-    near = np.tile(np.arange(n, dtype=np.int64), half)
-    far = (near + np.repeat(np.arange(1, half + 1, dtype=np.int64), n)) % n
-    codes = np.minimum(near, far) * n + np.maximum(near, far)
-    order = np.argsort(codes)
-    position = np.empty_like(order)
-    position[order] = np.arange(order.size)
-    lattice = codes[order]
-    for arr in (near, far, lattice, position):
-        arr.flags.writeable = False
-    return near, far, lattice, position
+def _ring_lattice(n: int, k: int) -> np.ndarray:
+    """The edge codes of :func:`gen_watts_strogatz`'s ring lattice, ascending,
+    cached per ``(n, k)`` and read-only: edge ``j`` joins ``j % n`` to
+    ``j % n + j // n + 1`` (mod n)."""
+    near = np.tile(np.arange(n, dtype=np.int64), k // 2)
+    far = (near + np.repeat(np.arange(1, k // 2 + 1, dtype=np.int64), n)) % n
+    codes = np.sort(np.minimum(near, far) * n + np.maximum(near, far))
+    codes.flags.writeable = False
+    return codes
 
 
 # =====================================================================

@@ -116,10 +116,9 @@ def apply_embedding(background: Graph, target: TargetSpec, embedding: Embedding,
     :func:`~communifind.graphs.disjoint_union` of the parts' overlays.
     Mapped target edges that already exist in the background merge silently
     (the union is still a simple graph); mapped node degrees rise
-    accordingly.  The codes of the at most ``blocks * t(t-1)/2`` mapped edges
-    are merged into the background's sorted edge codes at binary-searched
-    positions in one pass, so assembly is O(E) with no sort, and the host
-    builds no CSR.
+    accordingly.  The mapped edges go to the background's one overlay, which
+    merges them into its sorted edge codes at binary-searched positions in
+    one pass, so assembly is O(E) with no sort, and the host builds no CSR.
     """
     if embedding.t != target.t:
         raise ValueError("embedding size does not match target size")
@@ -129,12 +128,7 @@ def apply_embedding(background: Graph, target: TargetSpec, embedding: Embedding,
     if embedding.map.size and not 0 <= int(embedding.map.min()) <= int(embedding.map.max()) < n:
         raise ValueError("embedding maps outside the background graph")
     tedges = np.asarray(target.edges, dtype=np.int64).reshape(-1, 2)
-    mapped_u = embedding.map[tedges[:, 0]]
-    mapped_v = embedding.map[tedges[:, 1]]
-    offsets = np.arange(0, background.n, n, dtype=np.int64)[:, None]
-    lo = np.minimum(mapped_u, mapped_v) + offsets
-    hi = np.maximum(mapped_u, mapped_v) + offsets
-    return background._insert_codes(lo * np.int64(background.n) + hi)
+    return background._overlay(embedding.map[tedges[:, 0]], embedding.map[tedges[:, 1]], blocks)
 
 
 def embed(background: Graph, target: TargetSpec, seed: int) -> tuple[Graph, Embedding]:

@@ -496,6 +496,23 @@ def test_node_counts_whose_codes_overflow_int64_are_rejected():
         Graph.from_pairs(big + 1, [])
 
 
+def test_codes_decode_exactly_at_the_largest_node_count():
+    # codes near 2**63 - 1 decode to their pairs, and re-base in a union,
+    # with no rounding: checked against Python ints
+    big = graphs_module._MAX_NODES
+    top = [(big - 3, big - 2), (big - 3, big - 1), (big - 2, big - 1)]
+    g = Graph.from_pairs(big, top)
+    assert g.edge_pairs().tolist() == [list(p) for p in top]
+    a = graphs_module.adjacency(g)
+    assert sorted(zip(a.col.tolist(), a.row.tolist())) == sorted(top + [(v, u) for u, v in top])
+    half = big // 2
+    parts = [[(0, half - 1), (half - 2, half - 1)], [(half - 3, half - 1), (half - 2, half - 1)]]
+    union = disjoint_union([Graph.from_pairs(half, p) for p in parts])
+    want = sorted((u + i * half) * (2 * half) + (v + i * half) for i, p in enumerate(parts) for u, v in p)
+    assert union.n == 2 * half
+    assert union.edge_codes().tolist() == want
+
+
 @pytest.mark.parametrize(
     "model, params",
     [("er", dict(avg_degree=2.0)), ("ba", dict(m=2)), ("sw", dict(k=4))],
@@ -619,8 +636,13 @@ def _sw_reference(n: int, k: int, beta: float, seed: int) -> Graph:
 
 
 # (1000, 10, 1.0) rewires all 5000 lattice edges, so its endpoints take more
-# than one _FEED_BLOCK of 4096 uniforms; (1024, 40, 0.1) is the benchmark's SW
-@pytest.mark.parametrize("n,k,beta", [(12, 8, 0.9), (40, 6, 0.5), (300, 10, 0.1), (1000, 10, 1.0), (1024, 40, 0.1)])
+# than one _FEED_BLOCK of 4096 uniforms; (1024, 40, 0.1) is the benchmark's SW;
+# every edge of (9, 8, 1.0) and a few of (13, 10, 1.0) find no endpoint to
+# rewire to and stay
+@pytest.mark.parametrize(
+    "n,k,beta",
+    [(9, 8, 1.0), (12, 8, 0.9), (13, 10, 1.0), (40, 6, 0.5), (300, 10, 0.1), (1000, 10, 1.0), (1024, 40, 0.1)],
+)
 def test_sw_matches_adjacency_set_reference(n, k, beta):
     for seed in range(10):
         spec = GraphGenSpec(model="sw", n=n, k=k, beta=beta, seed=seed)
@@ -655,8 +677,11 @@ def test_sw_lattice_is_cached_read_only():
     for seed in range(2):
         gen_watts_strogatz(GraphGenSpec(model="sw", n=300, k=10, beta=0.1, seed=seed))
     assert graphs_module._ring_lattice.cache_info().hits == 1
-    for arr in graphs_module._ring_lattice(300, 10):
-        assert not arr.flags.writeable
+    n, k = 300, 10
+    lattice = graphs_module._ring_lattice(n, k)
+    assert not lattice.flags.writeable
+    ends = [(j % n, (j % n + j // n + 1) % n) for j in range(n * k // 2)]
+    assert lattice.tolist() == sorted(min(u, v) * n + max(u, v) for u, v in ends)
 
 
 @pytest.mark.parametrize("seed", range(5))
