@@ -12,10 +12,11 @@ numerics), 2 usage or config error.
 
 Experiment configs are flat ``key = value`` text files; see CONFIG_KEYS for
 the schema.  Reports are JSON; every command appends one summary row to
-``summary.csv`` in the output directory.  An ``experiment`` report and its
-closing line carry each run's top-k margin (see
-:class:`~communifind.identify.RunResult`) and name the runs whose margin is
-below 1, whose top-k set the solves' error estimate does not settle.
+``summary.csv`` in the output directory, and that row and the closing line
+are read from the report.  An ``experiment`` report and its closing line
+carry each run's top-k margin (see :class:`~communifind.identify.RunResult`)
+and name the runs whose margin is below 1, whose top-k set the solves' error
+estimate does not settle.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import numpy as np
 from .communicability import hosts_per_stack, total_communicability, write_scores_csv
 from .expm import KrylovParams, NumericalBreakdownError
 from .graphs import (
+    FAMILY_PARAMETER,
     EdgeListParseError,
     GraphGenSpec,
     TargetSpec,
@@ -56,19 +58,6 @@ from .modularity import FilterCoeffs, run_baseline
 from .rng import GENERATOR
 
 __all__ = ["main", "entry_point", "ConfigError", "parse_flat_config", "build_experiment_config"]
-
-_SUMMARY_COLUMNS = [
-    "method",
-    "model",
-    "n",
-    "avg_deg",
-    "N",
-    "runs",
-    "mean_rate",
-    "std",
-    "perfect_frac",
-    "secs",
-]
 
 # key -> (type tag, required, default, applies-to)
 CONFIG_KEYS = {
@@ -158,37 +147,35 @@ def _coerce(raw: dict[str, str], command: str) -> dict[str, object]:
 def build_experiment_config(
     values: dict[str, object], *, runs_override: int | None = None
 ) -> ExperimentConfig:
-    """Assemble the library config from coerced key/values."""
-    model = values["model"]
+    """Assemble the library config from coerced key/values; a key left out
+    takes its CONFIG_KEYS default."""
+    values = {**{key: spec[2] for key, spec in CONFIG_KEYS.items()}, **values}
     try:
         background = GraphGenSpec(
-            model=model,  # type: ignore[arg-type]
+            model=values["model"],  # type: ignore[arg-type]
             n=values["nodes"],  # type: ignore[arg-type]
-            avg_degree=values.get("avg_degree"),  # type: ignore[arg-type]
-            m=values.get("m"),  # type: ignore[arg-type]
-            k=values.get("k"),  # type: ignore[arg-type]
-            beta=values.get("beta", 0.1),  # type: ignore[arg-type]
+            avg_degree=values["avg_degree"],  # type: ignore[arg-type]
+            m=values["m"],  # type: ignore[arg-type]
+            k=values["k"],  # type: ignore[arg-type]
+            beta=values["beta"],  # type: ignore[arg-type]
         )
         target_kind = values["target"]
         if target_kind == "sparse":
-            if values.get("target_size", 20) != 20:
+            if values["target_size"] != 20:
                 raise ConfigError("config error: key 'target_size': the sparse target has 20 nodes")
-            target: TargetSpec = canonical_sparse_target(values.get("target_seed", 0))  # type: ignore[arg-type]
+            target: TargetSpec = canonical_sparse_target(values["target_seed"])  # type: ignore[arg-type]
         elif target_kind == "clique":
-            target = clique(values.get("target_size", 20))  # type: ignore[arg-type]
+            target = clique(values["target_size"])  # type: ignore[arg-type]
         else:
             raise ConfigError(f"config error: key 'target': unknown target kind {target_kind!r}")
-        krylov = KrylovParams(
-            m=values.get("krylov_m", KrylovParams.m),  # type: ignore[arg-type]
-            tol=values.get("krylov_tol", KrylovParams.tol),  # type: ignore[arg-type]
-        )
+        krylov = KrylovParams(m=values["krylov_m"], tol=values["krylov_tol"])  # type: ignore[arg-type]
         return ExperimentConfig(
             background=background,
             target=target,
             num_backgrounds=values["num_backgrounds"],  # type: ignore[arg-type]
             runs=runs_override if runs_override is not None else values["runs"],  # type: ignore[arg-type]
-            base_seed=values.get("base_seed", 0),  # type: ignore[arg-type]
-            k=values.get("top_k"),  # type: ignore[arg-type]
+            base_seed=values["base_seed"],  # type: ignore[arg-type]
+            k=values["top_k"],  # type: ignore[arg-type]
             krylov=krylov,
         )
     except ConfigError:
@@ -216,11 +203,6 @@ def _parse_coeffs(values: dict[str, object]) -> FilterCoeffs | None:
 def _json_margin(margin: float) -> float | None:
     """A margin as strict JSON: null stands for an infinite margin."""
     return None if math.isinf(margin) else margin
-
-
-def _unsettled(results: list[RunResult]) -> list[int]:
-    """Indices of the runs whose top-k margin is below 1."""
-    return [i for i, res in enumerate(results) if res.margin < 1.0]
 
 
 def _report_dict(
@@ -264,75 +246,59 @@ def _report_dict(
         for run, res in zip(runs, results):
             run["margin"] = _json_margin(res.margin)
         report["min_margin"] = _json_margin(min(res.margin for res in results))
-        report["unsettled_runs"] = _unsettled(results)
+        report["unsettled_runs"] = [i for i, res in enumerate(results) if res.margin < 1.0]
     return report
 
 
-def _append_summary(path: Path, row: dict[str, object]) -> None:
-    new_file = not path.exists()
-    with path.open("a", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_SUMMARY_COLUMNS)
-        if new_file:
-            writer.writeheader()
-        writer.writerow(row)
-
-
-def _run_experiment_command(args: argparse.Namespace, method: str) -> int:
+def _run_experiment_command(args: argparse.Namespace) -> int:
     try:
         text = Path(args.config).read_text()
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
-    command = "baseline" if method == "modularity" else "experiment"
-    values = _coerce(parse_flat_config(text), command)
+    values = _coerce(parse_flat_config(text), args.command)
     cfg = build_experiment_config(values, runs_override=args.runs)
     out_dir = Path(args.out_dir)
     t0 = time.perf_counter()
-    if method == "modularity":
-        coeffs = _parse_coeffs(values)
-        if coeffs is not None and len(coeffs) != cfg.num_backgrounds:
-            raise ConfigError(
-                "config error: key 'coeffs': need one coefficient per background "
-                f"({cfg.num_backgrounds}), got {len(coeffs)}"
-            )
-        results = run_baseline(cfg, coeffs=coeffs, r=int(values.get("r_dims", 10)), jobs=args.jobs)
+    if args.method == "modularity":
+        results = run_baseline(cfg, coeffs=_parse_coeffs(values), r=values["r_dims"], jobs=args.jobs)  # type: ignore[arg-type]
     else:
         results = run_pipeline(cfg, jobs=args.jobs)
-    total_seconds = time.perf_counter() - t0
-    report = _report_dict(method, values, cfg, results, total_seconds)
+    report = _report_dict(args.method, values, cfg, results, time.perf_counter() - t0)
+    # the summary row, whose keys are the CSV header, and the closing line
+    # are read from the report
+    row = {
+        "method": report["method"],
+        "model": cfg.background.model,
+        "n": cfg.background.n,
+        "avg_deg": f"{cfg.background.nominal_mean_degree():.6g}",
+        "N": cfg.num_backgrounds,
+        "runs": len(report["runs"]),  # type: ignore[arg-type]
+        "mean_rate": f"{report['mean_rate']:.6f}",
+        "std": f"{report['std_rate']:.6f}",
+        "perfect_frac": f"{report['perfect_fraction']:.6f}",
+        "secs": f"{report['total_seconds']:.3f}",
+    }
+    summary_path = out_dir / "summary.csv"
+    report_path = out_dir / f"{Path(args.config).stem}.{args.method}.json"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        stem = Path(args.config).stem
-        report_path = out_dir / f"{stem}.{method}.json"
         report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        summary = summarize_rates(results)
-        _append_summary(
-            out_dir / "summary.csv",
-            {
-                "method": method,
-                "model": cfg.background.model,
-                "n": cfg.background.n,
-                "avg_deg": f"{cfg.background.nominal_mean_degree():.6g}",
-                "N": cfg.num_backgrounds,
-                "runs": cfg.runs,
-                "mean_rate": f"{summary.mean:.6f}",
-                "std": f"{summary.std:.6f}",
-                "perfect_frac": f"{summary.perfect_fraction:.6f}",
-                "secs": f"{total_seconds:.3f}",
-            },
-        )
+        new_file = not summary_path.exists()
+        with summary_path.open("a", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(row))
+            if new_file:
+                writer.writeheader()
+            writer.writerow(row)
     except OSError as exc:
         print(f"error: cannot write results: {exc}", file=sys.stderr)
         return 1
-    margins = ""
-    if method == "communicability":
-        unsettled = ",".join(map(str, _unsettled(results))) or "none"
-        margins = f"min_margin={min(res.margin for res in results):.3g} unsettled_runs={unsettled} "
-    print(
-        f"method={method} runs={cfg.runs} mean_rate={summary.mean:.6f} "
-        f"std={summary.std:.6f} perfect_frac={summary.perfect_fraction:.6f} "
-        f"{margins}report={report_path}"
-    )
+    fields = [f"{key}={row[key]}" for key in ("method", "runs", "mean_rate", "std", "perfect_frac")]
+    if "min_margin" in report:
+        min_margin = math.inf if report["min_margin"] is None else report["min_margin"]  # null is infinite
+        unsettled = ",".join(map(str, report["unsettled_runs"])) or "none"  # type: ignore[call-overload]
+        fields += [f"min_margin={min_margin:.3g}", f"unsettled_runs={unsettled}"]
+    print(" ".join(fields + [f"report={report_path}"]))
     return 0
 
 
@@ -342,10 +308,9 @@ def _run_experiment_command(args: argparse.Namespace, method: str) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    params = {"avg_degree": args.avg_degree, "m": args.m, "k": args.k}
-    given = [name for name, value in params.items() if value is not None]
-    needed = {"er": "avg_degree", "ba": "m", "sw": "k"}[args.model]
-    if set(given) != {needed}:
+    given = [p for p in FAMILY_PARAMETER.values() if getattr(args, p) is not None]
+    needed = FAMILY_PARAMETER[args.model]
+    if given != [needed]:
         raise ConfigError(
             f"config error: model {args.model!r} needs exactly --{needed.replace('_', '-')}"
             + (f", got {given}" if given else "")
@@ -422,19 +387,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scores.add_argument("--top", type=int, default=20, help="order of the printed threshold")
     p_scores.set_defaults(func=_cmd_scores)
 
-    p_exp = sub.add_parser("experiment", help="multi-background identification experiment")
-    p_exp.add_argument("config", help="flat key = value config file")
-    p_exp.add_argument("--out-dir", dest="out_dir", required=True)
-    p_exp.add_argument("--runs", type=int, default=None, help="override the config run count")
-    p_exp.add_argument("--jobs", type=int, default=1, help="worker processes (results identical)")
-    p_exp.set_defaults(func=lambda a: _run_experiment_command(a, "communicability"))
-
-    p_base = sub.add_parser("baseline", help="modularity-baseline identification experiment")
-    p_base.add_argument("config", help="flat key = value config file")
-    p_base.add_argument("--out-dir", dest="out_dir", required=True)
-    p_base.add_argument("--runs", type=int, default=None)
-    p_base.add_argument("--jobs", type=int, default=1, help="worker processes (results identical)")
-    p_base.set_defaults(func=lambda a: _run_experiment_command(a, "modularity"))
+    for command, method, help_text in (
+        ("experiment", "communicability", "multi-background identification experiment"),
+        ("baseline", "modularity", "modularity-baseline identification experiment"),
+    ):
+        p_run = sub.add_parser(command, help=help_text)
+        p_run.add_argument("config", help="flat key = value config file")
+        p_run.add_argument("--out-dir", dest="out_dir", required=True)
+        p_run.add_argument("--runs", type=int, default=None, help="override the config run count")
+        p_run.add_argument("--jobs", type=int, default=1, help="worker processes (results identical)")
+        p_run.set_defaults(func=_run_experiment_command, method=method)
 
     return parser
 

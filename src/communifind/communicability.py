@@ -68,9 +68,9 @@ _SC_MAX_NODES = 512
 # loop); stacking shares the fixed parts, and the cap bounds the memory of a
 # solve.  A run of 40 sparse backgrounds (er avg 2) at n=1024 is one stack,
 # solved once, under the certificate stop, in 7.1-7.3 steps: on a 2-vCPU VM
-# it took ~15% less time per run than two stacks of 20 (whose first was then
-# solved at 1e-4 in ~10.7 steps), at ~7.5% more peak RSS (the stack's
-# vectors and operator; its first basis block is 25 rows, 8 MiB).  Under the
+# it took ~15% less time per run than two stacks of 20, at ~7.5% more peak
+# RSS (the stack's vectors and operator; its first basis block is 25 rows,
+# 8 MiB).  Under the
 # stop, stacking dense graphs costs no time either: at N=40, stacks of 40
 # scored er avg 39 runs ~10% and sw k=40 runs ~30% faster than stacks of
 # 20, and ba m=10 runs as fast.  Larger graphs are scored one at a time.

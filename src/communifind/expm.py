@@ -75,8 +75,8 @@ _SCREEN_SLACK = 1e-12
 # parallel speed-up of 1.13-1.27 against 1.53-1.54; there a solve past 12
 # steps copies its block into a larger one.  The floor also holds the
 # slowest large single graphs measured (25 steps: BA m=2 at 1e5 nodes, SW
-# k=40 at 5e4), so they grow no more often than with the former 32 rows.  A
-# solve that outgrows the block doubles it, and the projected matrix with it.
+# k=40 at 5e4), so their solves do not grow it.  A solve that outgrows the
+# block doubles it, and the projected matrix with it.
 _BASIS_BYTES = 1 << 22
 _BASIS_MIN_ROWS = 25
 

@@ -36,6 +36,7 @@ __all__ = [
     "GraphGenSpec",
     "TargetSpec",
     "EdgeListParseError",
+    "FAMILY_PARAMETER",
     "adjacency",
     "generate",
     "gen_erdos_renyi",
@@ -51,6 +52,9 @@ __all__ = [
 ]
 
 Model = Literal["er", "ba", "sw"]
+
+# The one family parameter each model takes.
+FAMILY_PARAMETER: dict[str, str] = {"er": "avg_degree", "ba": "m", "sw": "k"}
 
 # The largest node count whose edge codes u * n + v (< n * n) fit in int64.
 _MAX_NODES = math.isqrt(2**63 - 1)
@@ -302,10 +306,10 @@ def is_connected(g: Graph) -> bool:
 class GraphGenSpec:
     """Parameters of one random background graph.
 
-    Exactly one family parameter must be set for the chosen model:
-    ``avg_degree`` for Erdős–Rényi ("er"), ``m`` for preferential attachment
-    ("ba"), ``k`` for the rewired ring lattice ("sw", with rewiring
-    probability ``beta``).  Only "sw" reads ``beta``, but every model
+    Exactly one family parameter (:data:`FAMILY_PARAMETER`) must be set for
+    the chosen model: ``avg_degree`` for Erdős–Rényi ("er"), ``m`` for
+    preferential attachment ("ba"), ``k`` for the rewired ring lattice ("sw",
+    with rewiring probability ``beta``).  Only "sw" reads ``beta``, but every model
     carries it into reports, so it must lie in [0, 1] for every model.
     ``n`` is bounded by the int64 edge codes (:data:`_MAX_NODES`).
     """
@@ -319,26 +323,23 @@ class GraphGenSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.model not in ("er", "ba", "sw"):
+        if self.model not in FAMILY_PARAMETER:
             raise ValueError(f"unknown model {self.model!r}")
         if self.n < 2:
             raise ValueError(f"need n >= 2, got n={self.n}")
         _check_codes_fit(self.n)
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
+        param = FAMILY_PARAMETER[self.model]
+        if [p for p in FAMILY_PARAMETER.values() if getattr(self, p) is not None] != [param]:
+            raise ValueError(f"model {self.model!r} takes {param} only")
         if self.model == "er":
-            if self.avg_degree is None or self.m is not None or self.k is not None:
-                raise ValueError("model 'er' takes avg_degree only")
             if not 0.0 <= self.avg_degree <= self.n - 1:
                 raise ValueError(f"avg_degree must lie in [0, n-1], got {self.avg_degree}")
         elif self.model == "ba":
-            if self.m is None or self.avg_degree is not None or self.k is not None:
-                raise ValueError("model 'ba' takes m only")
             if not 1 <= self.m < self.n:
                 raise ValueError(f"m must lie in [1, n), got {self.m}")
         else:  # sw
-            if self.k is None or self.avg_degree is not None or self.m is not None:
-                raise ValueError("model 'sw' takes k (and optional beta) only")
             if self.k % 2 != 0 or not 2 <= self.k < self.n:
                 raise ValueError(f"k must be even with 2 <= k < n, got {self.k}")
 

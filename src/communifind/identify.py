@@ -416,8 +416,13 @@ def _top_k_certified(scored: _Certified, k: int) -> np.ndarray:
 
 
 def summarize_rates(results: Sequence[RunResult]) -> RateSummary:
-    """Mean and sample std of per-run rates, plus the fraction of perfect runs."""
+    """Mean and sample std of per-run rates, plus the fraction of perfect runs.
+
+    An empty ``results`` has no rates to summarize and is an error.
+    """
     rates = np.asarray([r.rate for r in results])
+    if rates.size == 0:
+        raise ValueError("summarize_rates needs at least one run result, got none")
     mean = float(rates.mean())
     std = float(rates.std(ddof=1)) if rates.size > 1 else 0.0
     perfect = float(np.mean(rates == 1.0))

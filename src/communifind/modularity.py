@@ -43,6 +43,7 @@ __all__ = [
 
 _COEFF_SUM_TOL = 1e-9
 _START_SEED = 0  # splitmix64 seed of the scan's start vector
+_SPLIT_MAX_ITER = 100  # Lloyd iterations of the two-means split
 
 
 @dataclass(frozen=True)
@@ -189,7 +190,7 @@ def eigen_l1_scores(b: ModularityMatrix, r: int = 10) -> EigenScan:
     )
 
 
-def two_means_split(coords: np.ndarray, seed_node: int, max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
+def two_means_split(coords: np.ndarray, seed_node: int) -> tuple[np.ndarray, np.ndarray]:
     """Two-cluster Lloyd split of node projections, seeded deterministically.
 
     Centroids start at the seed node's coordinates and the grand mean; ties
@@ -209,7 +210,7 @@ def two_means_split(coords: np.ndarray, seed_node: int, max_iter: int = 100) -> 
     c_seed = x[seed_node].copy()
     c_noise = x.mean(axis=0)
     assign: np.ndarray | None = None
-    for _ in range(max_iter):
+    for _ in range(_SPLIT_MAX_ITER):
         d_seed = ((x - c_seed) ** 2).sum(axis=1)
         d_noise = ((x - c_noise) ** 2).sum(axis=1)
         new_assign = d_noise < d_seed  # False (= seed cluster) wins ties
@@ -268,5 +269,7 @@ def run_baseline(
     if coeffs is None:
         coeffs = FilterCoeffs.uniform(cfg.num_backgrounds)
     if len(coeffs) != cfg.num_backgrounds:
-        raise ValueError("coefficient count must equal num_backgrounds")
+        raise ValueError(
+            f"coeffs: need one coefficient per background ({cfg.num_backgrounds}), got {len(coeffs)}"
+        )
     return _map_runs(cfg, jobs, score=functools.partial(_scan, coeffs=coeffs, r=r), select=_split)

@@ -292,6 +292,35 @@ def _write_config(tmp_path, text, name="exp.cfg"):
     return path
 
 
+def _assert_read_from_report(report, out_dir, printed):
+    """summary.csv's one row and the closing line carry the report's values."""
+    config = report["config"]
+    with (out_dir / "summary.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1
+    assert rows[0] == {
+        "method": report["method"],
+        "model": config["model"],
+        "n": str(config["nodes"]),
+        "avg_deg": f"{config['avg_degree']:.6g}",
+        "N": str(config["num_backgrounds"]),
+        "runs": str(len(report["runs"])),
+        "mean_rate": f"{report['mean_rate']:.6f}",
+        "std": f"{report['std_rate']:.6f}",
+        "perfect_frac": f"{report['perfect_fraction']:.6f}",
+        "secs": f"{report['total_seconds']:.3f}",
+    }
+    fields = dict(token.split("=", 1) for token in printed.split())
+    for key in ("method", "runs", "mean_rate", "std", "perfect_frac"):
+        assert fields[key] == rows[0][key]
+    if "min_margin" in report:
+        margin = math.inf if report["min_margin"] is None else report["min_margin"]
+        assert fields["min_margin"] == f"{margin:.3g}"
+        assert fields["unsettled_runs"] == (",".join(map(str, report["unsettled_runs"])) or "none")
+    else:
+        assert "min_margin" not in fields and "unsettled_runs" not in fields
+
+
 def test_experiment_end_to_end(tmp_path, capsys):
     cfg = _write_config(tmp_path, EXPERIMENT_CONFIG)
     out_dir = tmp_path / "out"
@@ -328,6 +357,24 @@ def test_experiment_end_to_end(tmp_path, capsys):
     assert rows[0]["n"] == "256"
     assert rows[0]["runs"] == "3"
     assert float(rows[0]["mean_rate"]) == pytest.approx(report["mean_rate"], abs=1e-6)
+    _assert_read_from_report(report, out_dir, printed)
+
+
+def test_experiment_infinite_margin_is_null_and_inf(tmp_path, capsys):
+    # top_k = nodes selects every node, so no score can change the set
+    cfg = _write_config(
+        tmp_path,
+        "model = er\nnodes = 60\navg_degree = 3.0\ntarget = clique\ntarget_size = 5\n"
+        "num_backgrounds = 3\nruns = 2\ntop_k = 60\n",
+    )
+    out_dir = tmp_path / "out"
+    assert main(["experiment", str(cfg), "--out-dir", str(out_dir)]) == 0
+    printed = capsys.readouterr().out
+    report = json.loads((out_dir / "exp.communicability.json").read_text())
+    assert [run["margin"] for run in report["runs"]] == [None, None]
+    assert report["min_margin"] is None and report["unsettled_runs"] == []
+    assert " min_margin=inf unsettled_runs=none " in printed
+    _assert_read_from_report(report, out_dir, printed)
 
 
 def test_experiment_names_unsettled_runs(tmp_path, capsys):
@@ -454,6 +501,7 @@ def test_baseline_end_to_end(tmp_path, capsys):
     with (out_dir / "summary.csv").open() as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["method"] == "modularity"
+    _assert_read_from_report(report, out_dir, printed)
 
 
 def test_baseline_nonconvergence_exits_1(tmp_path, capsys, monkeypatch):

@@ -712,3 +712,9 @@ def test_summarize_rates_hand_values():
     assert s.perfect_fraction == pytest.approx(0.5)
     single = summarize_rates([fake(0.5)])
     assert single.std == 0.0
+
+
+def test_summarize_rates_rejects_no_results():
+    # a mean over no runs is not a rate: raise rather than return NaN
+    with pytest.raises(ValueError, match="at least one run result"):
+        summarize_rates([])
