@@ -34,7 +34,6 @@ from .graphs import (
     density,
     disjoint_union,
     gen_barabasi_albert,
-    gen_erdos_renyi,
     gen_watts_strogatz,
     generate,
     is_connected,
@@ -49,7 +48,6 @@ from .identify import (
     RunResult,
     apply_embedding,
     draw_embedding,
-    embed,
     identification_rate,
     run_pipeline,
     summarize_rates,
@@ -100,11 +98,9 @@ __all__ = [
     "disjoint_union",
     "draw_embedding",
     "eigen_l1_scores",
-    "embed",
     "expm_action",
     "expm_dense_oracle",
     "gen_barabasi_albert",
-    "gen_erdos_renyi",
     "gen_watts_strogatz",
     "generate",
     "identification_rate",

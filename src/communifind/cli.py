@@ -144,9 +144,7 @@ def _coerce(raw: dict[str, str], command: str) -> dict[str, object]:
     return values
 
 
-def build_experiment_config(
-    values: dict[str, object], *, runs_override: int | None = None
-) -> ExperimentConfig:
+def build_experiment_config(values: dict[str, object]) -> ExperimentConfig:
     """Assemble the library config from coerced key/values; a key left out
     takes its CONFIG_KEYS default."""
     values = {**{key: spec[2] for key, spec in CONFIG_KEYS.items()}, **values}
@@ -173,7 +171,7 @@ def build_experiment_config(
             background=background,
             target=target,
             num_backgrounds=values["num_backgrounds"],  # type: ignore[arg-type]
-            runs=runs_override if runs_override is not None else values["runs"],  # type: ignore[arg-type]
+            runs=values["runs"],  # type: ignore[arg-type]
             base_seed=values["base_seed"],  # type: ignore[arg-type]
             k=values["top_k"],  # type: ignore[arg-type]
             krylov=krylov,
@@ -257,7 +255,10 @@ def _run_experiment_command(args: argparse.Namespace) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     values = _coerce(parse_flat_config(text), args.command)
-    cfg = build_experiment_config(values, runs_override=args.runs)
+    if args.runs is not None:
+        # before the config is built, so the report's config is the one that ran
+        values["runs"] = args.runs
+    cfg = build_experiment_config(values)
     out_dir = Path(args.out_dir)
     t0 = time.perf_counter()
     if args.method == "modularity":

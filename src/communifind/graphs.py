@@ -12,10 +12,12 @@ stack's, comes from one vectorized pass (:func:`_er_stack`).
 
 :func:`adjacency` is the one place that turns the codes into the adjacency
 matrix A, in coordinate form with no sort.  A Krylov solve multiplies by it
-directly (see :mod:`communifind.expm`); the modularity baseline, the
-compressed sparse rows of :class:`Graph`, :func:`is_connected` and
-:meth:`Graph.to_dense` all convert it.  A run of the pipeline therefore
-builds no rows at all, and the baseline builds one CSR matrix per host.
+directly (see :mod:`communifind.expm`); the modularity baseline,
+:func:`is_connected` and :meth:`Graph.to_dense` convert it.  A run of the
+pipeline therefore builds no rows at all, and the baseline builds one CSR
+matrix per host.  A graph's own compressed sparse rows
+(``Graph.indptr``/``indices``) serve only readers outside a run: tests,
+``scripts/benchmark_scaling.py`` and the benchmark's oracle check.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ __all__ = [
     "FAMILY_PARAMETER",
     "adjacency",
     "generate",
-    "gen_erdos_renyi",
     "gen_barabasi_albert",
     "gen_watts_strogatz",
     "canonical_sparse_target",
@@ -76,8 +77,8 @@ class Graph:
     row's neighbor list sorted ascending.  They are the CSR form of
     :func:`adjacency`, built on first use and then cached read-only, so a
     graph that is only generated, overlaid, stacked, scored and checked for
-    connectivity never builds them.  Node labels passed to the accessors
-    must lie in [0, n).
+    connectivity never builds them; nothing else is derived from them.
+    Node labels passed to :meth:`has_edge` must lie in [0, n).
     """
 
     n: int
@@ -86,16 +87,10 @@ class Graph:
     # -------------------------------------------------------------- build
 
     @staticmethod
-    def from_pairs(
-        n: int,
-        pairs: Iterable[tuple[int, int]] | np.ndarray,
-        *,
-        collapse_duplicates: bool = False,
-    ) -> "Graph":
+    def from_pairs(n: int, pairs: Iterable[tuple[int, int]] | np.ndarray) -> "Graph":
         """Build a graph from (u, v) pairs given in either orientation.
 
-        Duplicate pairs (after canonicalization) raise unless
-        ``collapse_duplicates`` is set, in which case they merge silently.
+        Duplicate pairs (after canonicalization) raise.
         """
         arr = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs, dtype=np.int64)
         if arr.size == 0:
@@ -109,7 +104,7 @@ class Graph:
         if np.any(u == v):
             raise ValueError("self-loops are not allowed")
         codes = np.unique(u * np.int64(n) + v)
-        if not collapse_duplicates and codes.size != arr.shape[0]:
+        if codes.size != arr.shape[0]:
             raise ValueError("duplicate edges are not allowed")
         return Graph._from_codes(n, codes)
 
@@ -169,22 +164,9 @@ class Graph:
     def indices(self) -> np.ndarray:
         return self._csr[1]
 
-    @property
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
     def _check_node(self, u: int) -> None:
         if not 0 <= u < self.n:
             raise ValueError(f"node label {u} out of range for n={self.n}")
-
-    def degree(self, u: int) -> int:
-        self._check_node(u)
-        return int(self.indptr[u + 1] - self.indptr[u])
-
-    def neighbors(self, u: int) -> np.ndarray:
-        """Sorted neighbor list of ``u`` (read-only view)."""
-        self._check_node(u)
-        return self.indices[self.indptr[u] : self.indptr[u + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_node(u)
@@ -206,14 +188,6 @@ class Graph:
     def to_dense(self) -> np.ndarray:
         """Dense float adjacency matrix."""
         return adjacency(self).toarray()
-
-    @property
-    def mean_degree(self) -> float:
-        return 2.0 * self.edge_count / self.n if self.n else 0.0
-
-    @property
-    def max_degree(self) -> int:
-        return int(self.degrees.max()) if self.n else 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -407,20 +381,13 @@ def _decode_pairs(n: int, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return (n - 1) - r, (n - 1) - back
 
 
-def gen_erdos_renyi(spec: GraphGenSpec) -> Graph:
-    """G(n, p) with p = avg_degree / (n - 1).
-
-    Pairs are enumerated in lexicographic order and successes located by
-    geometric gap-skipping (Batagelj & Brandes 2005), so the cost is O(E)
-    rather than O(n^2): the one-seed stack of :func:`_er_stack`.
-    """
-    if spec.model != "er":
-        raise ValueError("gen_erdos_renyi requires an 'er' spec")
-    return _er_stack(spec, [spec.seed])
-
-
 def _er_stack(spec: GraphGenSpec, seeds: list[int]) -> Graph:
     """``generate(spec, seeds)`` for ER, of any p, in one 2-D pass.
+
+    Each graph is G(n, p) with p = avg_degree / (n - 1).  Pairs are
+    enumerated in lexicographic order and successes located by geometric
+    gap-skipping (Batagelj & Brandes 2005), so the cost is O(E) rather than
+    O(n^2).
 
     Row ``j`` of one ``(len(seeds), block)`` array holds the positions of
     ``seeds[j]``'s edges in the lexicographic enumeration of pairs: none for
@@ -620,13 +587,6 @@ class TargetSpec:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def degrees(self) -> np.ndarray:
-        d = np.zeros(self.t, dtype=np.int64)
-        for u, v in self.edges:
-            d[u] += 1
-            d[v] += 1
-        return d
 
     def to_graph(self) -> Graph:
         return Graph.from_pairs(self.t, self.edges)

@@ -45,7 +45,6 @@ __all__ = [
     "RateSummary",
     "draw_embedding",
     "apply_embedding",
-    "embed",
     "top_k",
     "identification_rate",
     "run_pipeline",
@@ -129,12 +128,6 @@ def apply_embedding(background: Graph, target: TargetSpec, embedding: Embedding,
         raise ValueError("embedding maps outside the background graph")
     tedges = np.asarray(target.edges, dtype=np.int64).reshape(-1, 2)
     return background._overlay(embedding.map[tedges[:, 0]], embedding.map[tedges[:, 1]], blocks)
-
-
-def embed(background: Graph, target: TargetSpec, seed: int) -> tuple[Graph, Embedding]:
-    """Draw a random embedding and overlay the target in one step."""
-    embedding = draw_embedding(background.n, target.t, seed)
-    return apply_embedding(background, target, embedding), embedding
 
 
 # =====================================================================

@@ -79,7 +79,7 @@ def test_build_config_round_trip():
     assert cfg.background.n == 256
     assert cfg.target.t == 20 and cfg.target.edge_count == 21
     assert cfg.num_backgrounds == 4 and cfg.runs == 3
-    assert build_experiment_config(values, runs_override=9).runs == 9
+    assert build_experiment_config({**values, "runs": 9}).runs == 9
 
 
 def test_config_without_krylov_keys_uses_krylov_defaults():
@@ -417,6 +417,18 @@ def test_experiment_runs_override_and_summary_append(tmp_path):
     with (out_dir / "summary.csv").open() as fh:
         rows = list(csv.DictReader(fh))
     assert [r["runs"] for r in rows] == ["1", "2"]  # but the summary appends
+
+
+@pytest.mark.parametrize("command", ["experiment", "baseline"])
+def test_runs_override_is_the_reported_config(tmp_path, capsys, command):
+    cfg = _write_config(tmp_path, BASELINE_CONFIG if command == "baseline" else EXPERIMENT_CONFIG)
+    out_dir = tmp_path / "out"
+    assert main([command, str(cfg), "--out-dir", str(out_dir), "--runs", "1"]) == 0
+    method = "modularity" if command == "baseline" else "communicability"
+    report = json.loads((out_dir / f"exp.{method}.json").read_text())
+    # the config file says more runs; the report's config is the one that ran
+    assert report["config"]["runs"] == len(report["runs"]) == 1
+    _assert_read_from_report(report, out_dir, capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("command", ["experiment", "baseline"])

@@ -22,7 +22,6 @@ from communifind import (
     density,
     disjoint_union,
     gen_barabasi_albert,
-    gen_erdos_renyi,
     gen_watts_strogatz,
     generate,
     is_connected,
@@ -31,7 +30,7 @@ from communifind import (
 )
 from communifind import graphs as graphs_module
 from communifind.rng import SeededRng, geometric_gaps
-from conftest import mixed_model_spec, validate_graph
+from conftest import degrees, mixed_model_spec, neighbors, validate_graph
 
 
 # =====================================================================
@@ -52,9 +51,6 @@ def test_from_pairs_rejects_self_loop_and_duplicates():
         Graph.from_pairs(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph.from_pairs(3, [(0, 1), (1, 0)])
-    # but duplicates merge when unioning is requested
-    g = Graph.from_pairs(3, [(0, 1), (1, 0)], collapse_duplicates=True)
-    assert g.edge_count == 1
 
 
 def test_from_pairs_rejects_out_of_range():
@@ -68,15 +64,15 @@ def test_empty_graph():
     g = Graph.from_pairs(5, [])
     validate_graph(g)
     assert g.edge_count == 0
-    assert g.mean_degree == 0.0
-    assert g.max_degree == 0
+    assert degrees(g).mean() == 0.0
+    assert degrees(g).max() == 0
 
 
 def test_neighbors_sorted_and_degrees():
     g = Graph.from_pairs(5, [(4, 0), (0, 2), (0, 1)])
-    assert g.neighbors(0).tolist() == [1, 2, 4]
-    assert g.degree(0) == 3
-    assert g.degrees.tolist() == [3, 1, 1, 0, 1]
+    assert neighbors(g, 0).tolist() == [1, 2, 4]
+    assert degrees(g)[0] == 3
+    assert degrees(g).tolist() == [3, 1, 1, 0, 1]
 
 
 def test_edge_pairs_round_trip():
@@ -93,11 +89,11 @@ def test_csr_rows_sorted_beyond_16_bit_labels():
     ends = rng.integers(0, n, size=(4000, 2))
     pairs = [tuple(p) for p in ends.tolist() if p[0] != p[1]]
     pairs += [(65535, 65536), (3, 69999), (65536, 69998), (65535, 1)]
-    g = Graph.from_pairs(n, pairs, collapse_duplicates=True)
+    g = Graph.from_pairs(n, np.unique(np.sort(pairs, axis=1), axis=0))
     us, vs = np.divmod(g.edge_codes(), n)
     rows, cols = np.concatenate([us, vs]), np.concatenate([vs, us])
     assert np.array_equal(g.indices, cols[np.lexsort((cols, rows))])
-    assert np.array_equal(g.degrees, np.bincount(rows, minlength=n))
+    assert np.array_equal(np.diff(g.indptr), np.bincount(rows, minlength=n))
 
 
 def _has_csr(g: Graph) -> bool:
@@ -111,7 +107,7 @@ def test_csr_built_once_then_cached(monkeypatch):
     adjacency = graphs_module.adjacency
     monkeypatch.setattr(graphs_module, "adjacency", lambda g: builds.append(g.n) or adjacency(g))
     indptr, indices = g.indptr, g.indices
-    assert g.neighbors(0).tolist() == [1, 2, 4] and g.degree(4) == 1
+    assert neighbors(g, 0).tolist() == [1, 2, 4] and neighbors(g, 4).size == 1
     assert g.indptr is indptr and g.indices is indices
     assert builds == [5]
     assert not indptr.flags.writeable and not indices.flags.writeable
@@ -124,20 +120,6 @@ def test_has_edge_rejects_labels_outside_range(label):
     for u, v in ((0, label), (label, 0), (label, label)):
         with pytest.raises(ValueError, match=f"node label {label} out of range for n=4"):
             g.has_edge(u, v)
-
-
-@pytest.mark.parametrize("label", [-1, 4])
-def test_degree_rejects_labels_outside_range(label):
-    g = Graph.from_pairs(4, [(1, 2)])
-    with pytest.raises(ValueError, match=f"node label {label} out of range for n=4"):
-        g.degree(label)
-
-
-@pytest.mark.parametrize("label", [-1, 4])
-def test_neighbors_rejects_labels_outside_range(label):
-    g = Graph.from_pairs(4, [(1, 2)])
-    with pytest.raises(ValueError, match=f"node label {label} out of range for n=4"):
-        g.neighbors(label)
 
 
 def test_edge_codes_are_the_stored_read_only_array():
@@ -233,10 +215,10 @@ def test_generator_invariants_many_specs():
 
 
 def test_er_extremes():
-    assert gen_erdos_renyi(GraphGenSpec(model="er", n=2, avg_degree=1.0, seed=0)) == clique(2).to_graph()
-    g = gen_erdos_renyi(GraphGenSpec(model="er", n=30, avg_degree=0.0, seed=0))
+    assert generate(GraphGenSpec(model="er", n=2, avg_degree=1.0, seed=0)) == clique(2).to_graph()
+    g = generate(GraphGenSpec(model="er", n=30, avg_degree=0.0, seed=0))
     assert g.edge_count == 0
-    full = gen_erdos_renyi(GraphGenSpec(model="er", n=9, avg_degree=8.0, seed=0))
+    full = generate(GraphGenSpec(model="er", n=9, avg_degree=8.0, seed=0))
     assert full.edge_count == 36
 
 
@@ -261,9 +243,9 @@ def test_er_extremes_equal_closed_forms(n):
 
 def test_er_deterministic_per_seed():
     spec = GraphGenSpec(model="er", n=200, avg_degree=3.0, seed=77)
-    assert gen_erdos_renyi(spec) == gen_erdos_renyi(spec)
+    assert generate(spec) == generate(spec)
     other = GraphGenSpec(model="er", n=200, avg_degree=3.0, seed=78)
-    assert gen_erdos_renyi(spec) != gen_erdos_renyi(other)
+    assert generate(spec) != generate(other)
 
 
 def test_er_mean_edge_count_matches_binomial():
@@ -273,7 +255,7 @@ def test_er_mean_edge_count_matches_binomial():
     p = avg / (n - 1)
     seeds = 100
     counts = [
-        gen_erdos_renyi(GraphGenSpec(model="er", n=n, avg_degree=avg, seed=s)).edge_count
+        generate(GraphGenSpec(model="er", n=n, avg_degree=avg, seed=s)).edge_count
         for s in range(seeds)
     ]
     expected = n * (n - 1) / 2 * p
@@ -309,7 +291,7 @@ def test_er_block_refill_high_and_tiny_p(n, avg, seeds, monkeypatch):
     first_block = math.ceil(total * p)
     counts = []
     for seed in range(seeds):
-        g = gen_erdos_renyi(GraphGenSpec(model="er", n=n, avg_degree=avg, seed=seed))
+        g = generate(GraphGenSpec(model="er", n=n, avg_degree=avg, seed=seed))
         codes = g.edge_codes()
         assert np.all(np.diff(codes) > 0)  # unique and sorted
         us, vs = np.divmod(codes, n)
@@ -337,7 +319,7 @@ def test_er_first_block_reaches_the_last_pair(monkeypatch):
     draws = _counted_draws(monkeypatch)
     for seed in range(20):
         draws.clear()
-        g = gen_erdos_renyi(GraphGenSpec(model="er", n=1024, avg_degree=2.0, seed=seed))
+        g = generate(GraphGenSpec(model="er", n=1024, avg_degree=2.0, seed=seed))
         assert len(draws) == 1 and draws[0][0] == 1 and draws[0][1] > g.edge_count
 
 
@@ -423,11 +405,15 @@ def test_er_stack_short_rows_draw_twice_the_gaps(n, avg, seeds, monkeypatch):
     short = [np.minimum(g, total).sum() + first_block - 1 < total for g in gaps]
     assert 0 < sum(short) < seeds
     draws = _counted_draws(monkeypatch)
-    monkeypatch.setattr(graphs_module, "gen_erdos_renyi", lambda spec: pytest.fail("per-seed ER graph built"))
+    passes = []
+    er_stack = graphs_module._er_stack
+    monkeypatch.setattr(graphs_module, "_er_stack", lambda spec, seeds: passes.append(len(seeds)) or er_stack(spec, seeds))
     for first in range(0, seeds, 5):
         stack = list(range(first, first + 5))
         draws.clear()
+        passes.clear()
         got = generate(spec, stack)
+        assert passes == [5]  # one vectorized pass, no per-seed ER graph
         _assert_same_bytes(got, disjoint_union([per_seed[s] for s in stack]))
         for s in stack:
             assert per_seed[s].edge_codes().tolist() == _er_reference(n, avg, s)
@@ -537,8 +523,11 @@ def test_er_spec_validation():
         GraphGenSpec(model="er", n=10, avg_degree=2.0, m=3)
     with pytest.raises(ValueError):
         GraphGenSpec(model="er", n=10)
+    # an ER spec reaches no other model's generator
     with pytest.raises(ValueError):
-        gen_erdos_renyi(GraphGenSpec(model="ba", n=10, m=2))
+        gen_barabasi_albert(GraphGenSpec(model="er", n=10, avg_degree=2.0))
+    with pytest.raises(ValueError):
+        gen_watts_strogatz(GraphGenSpec(model="er", n=10, avg_degree=2.0))
 
 
 # =====================================================================
@@ -557,14 +546,14 @@ def test_ba_edge_count_identity_and_mean_degree():
     n, m = 1024, 10
     g = gen_barabasi_albert(GraphGenSpec(model="ba", n=n, m=m, seed=2))
     assert g.edge_count == m * (m + 1) // 2 + m * (n - m - 1)
-    assert 19.0 <= g.mean_degree <= 20.0
+    assert 19.0 <= degrees(g).mean() <= 20.0
     assert is_connected(g)
 
 
 def test_ba_hubs_emerge():
     g = gen_barabasi_albert(GraphGenSpec(model="ba", n=800, m=4, seed=6))
     # preferential attachment grows degrees far above the attachment count
-    assert g.max_degree > 8 * 4
+    assert degrees(g).max() > 8 * 4
 
 
 def test_ba_deterministic():
@@ -590,11 +579,11 @@ def test_sw_pure_ring():
     g = gen_watts_strogatz(GraphGenSpec(model="sw", n=10, k=2, beta=0.0, seed=0))
     assert g.edge_count == 10
     for u in range(10):
-        assert sorted(g.neighbors(u).tolist()) == sorted({(u - 1) % 10, (u + 1) % 10})
+        assert sorted(neighbors(g, u).tolist()) == sorted({(u - 1) % 10, (u + 1) % 10})
     g4 = gen_watts_strogatz(GraphGenSpec(model="sw", n=6, k=4, beta=0.0, seed=0))
     for u in range(6):
         expected = {(u + d) % 6 for d in (-2, -1, 1, 2)}
-        assert set(g4.neighbors(u).tolist()) == expected
+        assert set(neighbors(g4, u).tolist()) == expected
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.1, 1.0])
@@ -743,12 +732,12 @@ def test_canonical_sparse_target_shape():
     t = canonical_sparse_target(0)
     assert t.t == 20
     assert t.edge_count == 21
-    deg = t.degrees()
+    deg = np.bincount(np.ravel(t.edges), minlength=t.t)
     assert deg.max() == 4
     assert deg.min() >= 1
     g = t.to_graph()
     assert is_connected(g)
-    assert g.mean_degree == pytest.approx(2.1)
+    assert degrees(g).mean() == pytest.approx(2.1)
     assert density(g) == pytest.approx(21 / 190)
 
 
@@ -765,7 +754,7 @@ def test_canonical_sparse_target_pinned_for_seed_zero():
 def test_canonical_sparse_target_constraints_any_seed(seed):
     t = canonical_sparse_target(seed)
     assert t.t == 20 and t.edge_count == 21
-    assert t.degrees().max() == 4
+    assert np.bincount(np.ravel(t.edges), minlength=t.t).max() == 4
     assert is_connected(t.to_graph())
     assert canonical_sparse_target(seed) == t  # deterministic
 
@@ -796,7 +785,7 @@ def test_read_symmetrizes_and_ignores_comments():
 def test_read_nodes_header_keeps_isolated_nodes():
     g = read_edge_list(io.StringIO("# nodes: 7\n0 1\n"))
     assert g.n == 7
-    assert g.degrees.tolist() == [1, 1, 0, 0, 0, 0, 0]
+    assert degrees(g).tolist() == [1, 1, 0, 0, 0, 0, 0]
 
 
 def test_read_num_nodes_override():

@@ -27,7 +27,6 @@ from communifind import (
     clique,
     disjoint_union,
     draw_embedding,
-    embed,
     expm_action,
     generate,
     identification_rate,
@@ -133,7 +132,7 @@ def test_apply_embedding_matches_pair_union(index):
     host = apply_embedding(background, target, e)
     mapped = [(int(e.map[u]), int(e.map[v])) for u, v in target.edges]
     pairs = [tuple(p) for p in background.edge_pairs().tolist()] + mapped
-    assert host == Graph.from_pairs(background.n, pairs, collapse_duplicates=True)
+    assert host == Graph.from_pairs(background.n, np.unique(np.sort(pairs, axis=1), axis=0))
     validate_graph(host)
     assert not host.indices.flags.writeable and not host.indptr.flags.writeable
 
@@ -190,8 +189,9 @@ def test_pipeline_builds_no_node_order_rows(monkeypatch):
 
 def test_pipeline_generates_er_stacks_in_one_pass(monkeypatch):
     # forty 1024-node hosts fill one stack and forty-one take two: each
-    # stack is one generate and one apply_embedding call, and no stack, not
-    # even the one-host stack, builds a per-seed ER graph or a union of graphs
+    # stack is one generate call, one vectorized ER pass and one
+    # apply_embedding call, and no stack, not even the one-host stack,
+    # builds a union of graphs
     calls = []
 
     def counted(module, name):
@@ -199,7 +199,7 @@ def test_pipeline_generates_er_stacks_in_one_pass(monkeypatch):
         monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or original(*a, **k))
 
     for module, name in (
-        (graphs_module, "gen_erdos_renyi"),
+        (graphs_module, "_er_stack"),
         (graphs_module, "disjoint_union"),
         (communicability, "disjoint_union"),
         (identify, "generate"),
@@ -207,8 +207,8 @@ def test_pipeline_generates_er_stacks_in_one_pass(monkeypatch):
     ):
         counted(module, name)
     for backgrounds, expected in (
-        (40, ["apply_embedding", "generate"]),
-        (41, ["apply_embedding"] * 2 + ["generate"] * 2),
+        (40, ["_er_stack", "apply_embedding", "generate"]),
+        (41, ["_er_stack"] * 2 + ["apply_embedding"] * 2 + ["generate"] * 2),
     ):
         calls.clear()
         cfg = ExperimentConfig(
@@ -243,7 +243,8 @@ def test_baseline_receives_per_host_graphs(monkeypatch):
 def test_embed_composes_draw_and_apply():
     background = Graph.from_pairs(50, [(i, i + 1) for i in range(49)])
     target = clique(5)
-    host, e = embed(background, target, seed=3)
+    e = draw_embedding(background.n, target.t, seed=3)
+    host = apply_embedding(background, target, e)
     direct = apply_embedding(background, target, draw_embedding(50, 5, 3))
     assert host == direct
     for u, v in target.edges:

@@ -29,7 +29,7 @@ from communifind import (
     two_means_split,
 )
 from communifind.identify import background_seed
-from conftest import mixed_model_spec
+from conftest import degrees, mixed_model_spec
 
 
 # =====================================================================
@@ -249,7 +249,7 @@ def test_scan_nonconvergence_is_an_error(monkeypatch):
 def _dense_b(hosts, c) -> np.ndarray:
     """Reference B = sum_l c_l (A_l - d_l d_l^T / 2E_l), formed densely."""
     return sum(
-        w * (h.to_dense() - np.outer(h.degrees, h.degrees) / (2.0 * h.edge_count))
+        w * (h.to_dense() - np.outer(degrees(h), degrees(h)) / (2.0 * h.edge_count))
         for h, w in zip(hosts, c)
     )
 
